@@ -139,11 +139,8 @@ def cmd_eval(args) -> int:
     from fabme.blocks import load_into
     from fabme.data import scan_dataset
     from fabme.graph import GraphSpec, build_graph
-    from fabme.metrics import write_eval_csv
-    from fabme.train import TrainConfig, load_items
-    from fabme.metrics import Detection, GroundTruth, map50
-    from fabme.graph import decode
-    from fabme.tensor import Tensor, no_grad
+    from fabme.metrics import map50, write_eval_csv
+    from fabme.train import TrainConfig, eval_detections, load_items
 
     out = _out_dir(args)
     spec_path = Path(args.spec) if args.spec else Path(str(args.model) + ".spec")
@@ -162,20 +159,8 @@ def cmd_eval(args) -> int:
         print(f"error: no images found in {args.data}", file=sys.stderr)
         return 1
     items = load_items(samples)
-    dets, gts = [], []
-    cfg = TrainConfig()
-    nc = spec.num_classes
-    for lo in range(0, len(items), cfg.batch_size):
-        chunk = items[lo:lo + cfg.batch_size]
-        x = Tensor(np.stack([c[0] for c in chunk]).astype(spec.np_dtype()))
-        with no_grad():
-            outs = model(x)
-        for (img, anns, iid), dd in zip(chunk, decode(outs, nc, model.strides,
-                                                      conf_thresh=args.conf, iou_thresh=0.5)):
-            h, w = img.shape[-2:]
-            dets.extend(Detection(d.class_id, d.box, d.confidence, image_id=iid) for d in dd)
-            gts.extend(GroundTruth(a.class_id, a.corners(w, h), image_id=iid) for a in anns)
-    report = map50(dets, gts, classes=nc)
+    dets, gts = eval_detections(model, items, TrainConfig(eval_conf=args.conf))
+    report = map50(dets, gts, classes=spec.num_classes)
     write_eval_csv(out / "eval.csv", report)
     print(f"mAP@0.5 = {100.0 * report.map50:.2f}%")
     return 0

@@ -276,7 +276,7 @@ def read_png(path) -> np.ndarray:
         if f.read(8) != b"\x89PNG\r\n\x1a\n":
             raise ValueError(f"{path}: not a PNG file")
         width = height = bit_depth = color_type = interlace = None
-        idat = b""
+        idat = []
         while True:
             head = f.read(8)
             if len(head) < 8:
@@ -288,7 +288,7 @@ def read_png(path) -> np.ndarray:
             if ctype == b"IHDR":
                 width, height, bit_depth, color_type, _, _, interlace = struct.unpack(">IIBBBBB", body)
             elif ctype == b"IDAT":
-                idat += body
+                idat.append(body)
             elif ctype == b"IEND":
                 break
     if bit_depth != 8:
@@ -298,7 +298,7 @@ def read_png(path) -> np.ndarray:
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color_type)
     if channels is None:
         raise ValueError(f"{path}: unsupported PNG color type {color_type}")
-    raw = zlib.decompress(idat)
+    raw = zlib.decompress(b"".join(idat))
     stride = width * channels
     if len(raw) != (stride + 1) * height:
         raise ValueError(f"{path}: PNG payload size mismatch")

@@ -18,8 +18,8 @@ from fabme.blocks import (
     C2F, C2FVMamba, C2FVMambaConfig, Conv, EMCA, EMCAConfig, Module, SPPF,
     block_rng,
 )
-from fabme.metrics import Detection
-from fabme.tensor import NonFiniteError, ShapeError, Tensor
+from fabme.metrics import Detection, pairwise_iou
+from fabme.tensor import NonFiniteError, ShapeError, Tensor, _expit
 
 __all__ = [
     "GraphSpec", "FabMEModel", "build_graph", "count_params",
@@ -249,13 +249,9 @@ def count_params(model: Module) -> int:
     return int(sum(t.data.size for _, t in model.named_parameters()))
 
 
-def _expit(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+# Rows of the pairwise IoU that NMS holds at once: its largest temporary
+# is _NMS_BLOCK x k for k boxes of one class.
+_NMS_BLOCK = 256
 
 
 def decode(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
@@ -265,64 +261,62 @@ def decode(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
 
     Cell (i, j) predicts center (j + sigmoid(tx), i + sigmoid(ty)) * stride
     and size (exp(tw), exp(th)) * stride; score = objectness * class prob.
+    Detections come score descending, ties in candidate order (scale, then
+    class, row, column), at most max_det per image.
     """
     arrs = [out.data if isinstance(out, Tensor) else np.asarray(out) for out in outputs]
     batch = arrs[0].shape[0]
-    per_image: list[list[tuple]] = [[] for _ in range(batch)]
+    per_image: list[list[tuple]] = [[] for _ in range(batch)]  # (conf, class index, boxes) per scale
     for arr, stride in zip(arrs, strides):
         n, ch, hh, ww = arr.shape
         if ch != 5 + num_classes:
             raise ShapeError(f"decode: {ch} channels but expected {5 + num_classes}")
-        jj, ii = np.meshgrid(np.arange(ww), np.arange(hh))
-        cx = (_expit(arr[:, 0]) + jj) * stride
-        cy = (_expit(arr[:, 1]) + ii) * stride
-        bw = np.exp(np.clip(arr[:, 2], -20.0, 8.0)) * stride
-        bh = np.exp(np.clip(arr[:, 3], -20.0, 8.0)) * stride
-        obj = _expit(arr[:, 4])
-        cls = _expit(arr[:, 5:])
-        scores = obj[:, None] * cls  # (n, nc, h, w)
+        scores = _expit(arr[:, 4])[:, None] * _expit(arr[:, 5:])  # (n, nc, h, w)
         for b in range(n):
-            ks, iy, ix = np.nonzero(scores[b] > conf_thresh)
-            for k, i, j in zip(ks, iy, ix):
-                x1 = cx[b, i, j] - bw[b, i, j] / 2
-                y1 = cy[b, i, j] - bh[b, i, j] / 2
-                per_image[b].append(
-                    (float(scores[b, k, i, j]), int(k) + 1,
-                     (float(x1), float(y1), float(x1 + bw[b, i, j]), float(y1 + bh[b, i, j])))
-                )
+            k, i, j = np.nonzero(scores[b] > conf_thresh)
+            tx, ty, tw, th = arr[b][:4, i, j]
+            # the integer cell indices promote the centers, and so the
+            # corners, to float64; the sizes stay in the head's dtype
+            cx = (_expit(tx) + j) * stride
+            cy = (_expit(ty) + i) * stride
+            bw = np.exp(np.clip(tw, -20.0, 8.0)) * stride
+            bh = np.exp(np.clip(th, -20.0, 8.0)) * stride
+            x1 = cx - bw / 2
+            y1 = cy - bh / 2
+            boxes = np.stack([x1, y1, x1 + bw, y1 + bh], axis=1)
+            per_image[b].append((scores[b][k, i, j].astype(np.float64), k, boxes))
     results = []
-    for cands in per_image:
-        order = sorted(range(len(cands)), key=lambda t: -cands[t][0])  # stable: ties keep insertion order
-        dets: list[Detection] = []
-        kept_by_class: dict[int, list] = {}
-        for idx in order:
-            conf, cid, box = cands[idx]
-            kept = kept_by_class.setdefault(cid, [])
-            if any(_box_iou(box, kb) > iou_thresh for kb in kept):
-                continue
-            kept.append(box)
-            dets.append(Detection(class_id=cid, box=box, confidence=conf))
-            if len(dets) >= max_det:
-                break
-        results.append(dets)
+    for parts in per_image:
+        conf, cls, boxes = (np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(-conf, kind="stable")
+        conf, cls, boxes = conf[order], cls[order], boxes[order]
+        keep = np.zeros(len(conf), dtype=bool)
+        for c in np.unique(cls):
+            idx = np.flatnonzero(cls == c)
+            keep[idx[nms(boxes[idx], conf[idx], iou_thresh)]] = True
+        # a box's fate depends only on higher-ranked boxes of its class, so
+        # cutting after NMS keeps the same boxes as stopping at max_det
+        kept = np.flatnonzero(keep)[:max_det]
+        results.append([
+            Detection(class_id=cid + 1, box=tuple(box), confidence=c)
+            for c, cid, box in zip(conf[kept].tolist(), cls[kept].tolist(), boxes[kept].tolist())
+        ])
     return results
 
 
 def nms(boxes, scores, iou_thresh=0.45) -> list[int]:
     """Greedy NMS over one class; returns kept indices in score order
-    (ties broken by input order)."""
-    order = sorted(range(len(boxes)), key=lambda i: -scores[i])
-    keep: list[int] = []
-    for i in order:
-        if all(_box_iou(boxes[i], boxes[j]) <= iou_thresh for j in keep):
-            keep.append(i)
-    return keep
-
-
-def _box_iou(a, b) -> float:
-    ix1, iy1 = max(a[0], b[0]), max(a[1], b[1])
-    ix2, iy2 = min(a[2], b[2]), min(a[3], b[3])
-    iw, ih = max(0.0, ix2 - ix1), max(0.0, iy2 - iy1)
-    inter = iw * ih
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return inter / union if union > 0 else 0.0
+    (ties broken by input order).  A box is dropped when its IoU with a
+    higher-ranked kept box exceeds iou_thresh."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
+    keep = np.ones(len(boxes), dtype=bool)
+    for r0 in range(0, len(boxes), _NMS_BLOCK):
+        r1 = min(r0 + _NMS_BLOCK, len(boxes))
+        over = pairwise_iou(boxes[r0:r1], boxes[:r1]) > iou_thresh
+        over &= np.arange(r1) < np.arange(r0, r1)[:, None]  # higher-ranked boxes only
+        # a box that overlaps no higher-ranked box is kept outright; the
+        # rest are decided in rank order against the boxes kept so far
+        for r in np.flatnonzero(over.any(axis=1)):
+            keep[r0 + r] = not np.any(over[r] & keep[:r1])
+    return order[keep].tolist()

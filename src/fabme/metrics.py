@@ -1,5 +1,6 @@
-"""Detection evaluation: IoU, greedy prediction/ground-truth matching at a
-fixed IoU threshold, per-class precision-recall and AP, and mAP@0.5.
+"""Detection evaluation: IoU (of one pair and of all pairs), greedy
+prediction/ground-truth matching at a fixed IoU threshold, per-class
+precision-recall and AP, and mAP@0.5.
 
 All functions are pure over immutable inputs.  Matching follows the VOC
 protocol: detections ranked by confidence (ties by insertion order), each
@@ -17,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "Detection", "GroundTruth", "ClassAP", "EvalReport",
-    "iou", "match_and_ap", "map50", "write_eval_csv",
+    "iou", "pairwise_iou", "match_and_ap", "map50", "write_eval_csv",
 ]
 
 
@@ -82,6 +83,20 @@ def iou(a, b) -> float:
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every corner box in a (m, 4) against every one in b (k, 4),
+    as an (m, k) array; 0 where the union is not positive.  Each entry is
+    computed with the same float ops, in the same order, as `iou`."""
+    a = a[:, None, :]
+    iw = np.maximum(0.0, np.minimum(a[..., 2], b[:, 2]) - np.maximum(a[..., 0], b[:, 0]))
+    ih = np.maximum(0.0, np.minimum(a[..., 3], b[:, 3]) - np.maximum(a[..., 1], b[:, 1]))
+    inter = iw * ih
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def _envelope_ap(recall: np.ndarray, precision: np.ndarray) -> float:

@@ -282,12 +282,13 @@ def log(a: Tensor) -> Tensor:
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic sigmoid without overflow: 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, with e = exp(-|x|), computed in place."""
+    e = np.asarray(np.exp(-np.abs(x)))  # a 0-d input gives a scalar here
+    d = e + 1.0
+    np.copyto(e, 1.0, where=x >= 0)
+    e /= d
+    return e
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -12,16 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fabme import tensor as T
+from fabme import graph, tensor as T
 from fabme.data import Annotation, Sample, load_image
-from fabme.graph import FabMEModel, decode
+from fabme.graph import FabMEModel
 from fabme.metrics import Detection, GroundTruth, map50
 from fabme.tensor import Tensor
 
 __all__ = [
     "TrainConfig", "TrainResult", "TrainDivergedError",
     "sgd_step", "lr_at", "detection_loss", "build_targets",
-    "train", "evaluate_map", "load_items",
+    "train", "evaluate_map", "eval_detections", "load_items",
     "SynthScene", "render_scene", "gen_synth_dataset", "defect_palette",
     "items_from_scenes", "write_history_csv",
 ]
@@ -230,36 +230,34 @@ def _snapshot(model) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.named_parameters()}
 
 
-def evaluate_map(model: FabMEModel, items, cfg: TrainConfig) -> float:
-    """Decode predictions for every item and score mAP@0.5 against its
-    annotations."""
-    nc = model.spec.num_classes
+def eval_detections(model: FabMEModel, items, cfg: TrainConfig) -> tuple[list[Detection], list[GroundTruth]]:
+    """The model's decoded predictions for every item and the item's
+    annotations as ground truth, both tagged with its image id."""
     dets: list[Detection] = []
     gts: list[GroundTruth] = []
     dtype = model.spec.np_dtype()
-    bs = cfg.batch_size
-    for lo in range(0, len(items), bs):
-        chunk = items[lo:lo + bs]
+    for lo in range(0, len(items), cfg.batch_size):
+        chunk = items[lo:lo + cfg.batch_size]
         x = Tensor(np.stack([it[0] for it in chunk]).astype(dtype))
-        size = x.data.shape[-1]
-        batch_dets = decode(
-            [o for o in _forward_no_grad(model, x)], nc, model.strides,
-            conf_thresh=cfg.eval_conf, iou_thresh=cfg.eval_iou,
-        )
+        with T.no_grad():
+            outs = model(x)
+        # graph.decode is looked up at call time, so a replacement is seen
+        batch_dets = graph.decode(outs, model.spec.num_classes, model.strides,
+                                  conf_thresh=cfg.eval_conf, iou_thresh=cfg.eval_iou)
         for (img, anns, iid), image_dets in zip(chunk, batch_dets):
             h, w = img.shape[-2:]
-            for d in image_dets:
-                dets.append(Detection(d.class_id, d.box, d.confidence, image_id=iid))
-            for a in anns:
-                gts.append(GroundTruth(a.class_id, a.corners(w, h), image_id=iid))
+            dets += [Detection(d.class_id, d.box, d.confidence, image_id=iid) for d in image_dets]
+            gts += [GroundTruth(a.class_id, a.corners(w, h), image_id=iid) for a in anns]
+    return dets, gts
+
+
+def evaluate_map(model: FabMEModel, items, cfg: TrainConfig) -> float:
+    """mAP@0.5 of the model's decoded predictions against the items'
+    annotations."""
+    dets, gts = eval_detections(model, items, cfg)
     if not gts:
         raise ValueError("evaluate_map: validation set has no annotations")
-    return map50(dets, gts, classes=nc).map50
-
-
-def _forward_no_grad(model, x):
-    with T.no_grad():
-        return model(x)
+    return map50(dets, gts, classes=model.spec.num_classes).map50
 
 
 def train(model: FabMEModel, train_items, val_items, cfg: TrainConfig,

@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: a pure-Python brute-force
-detection evaluator (no shared code with fabme.metrics) and a direct
-triple-loop convolution."""
+detection evaluator (no shared code with fabme.metrics), a direct
+triple-loop convolution, the masked-scatter sigmoid and the per-candidate
+decode with its Python greedy NMS."""
 from __future__ import annotations
 
 import numpy as np
@@ -116,3 +117,69 @@ def conv2d_direct(x, w, b, stride=1, pad=0, groups=1):
                                 acc += w[o, ci, u, v] * xp[b_, g * cpg + ci, i * stride + u, j * stride + v]
                     out[b_, o, i, j] = acc + (b[o] if b is not None else 0.0)
     return out
+
+
+def expit_masked(x):
+    """The logistic sigmoid by boolean-mask gather and scatter: the positive
+    half as 1 / (1 + exp(-x)), the negative half as exp(x) / (1 + exp(x))."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def box_iou_py(a, b) -> float:
+    """Scalar IoU with the float ops in the order the vectorised kernel
+    uses; 0 when the union is not positive."""
+    ix1, iy1 = max(a[0], b[0]), max(a[1], b[1])
+    ix2, iy2 = min(a[2], b[2]), min(a[3], b[3])
+    iw, ih = max(0.0, ix2 - ix1), max(0.0, iy2 - iy1)
+    inter = iw * ih
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def decode_loop(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
+                iou_thresh=0.45, max_det=300):
+    """Per-candidate decode and greedy per-class NMS in plain Python loops.
+
+    Returns, per image, (class_id, box, confidence) tuples in the order the
+    detections are kept: score descending, ties by candidate order (scale,
+    then class, row, column), cut at max_det."""
+    batch = outputs[0].shape[0]
+    per_image = [[] for _ in range(batch)]
+    for arr, stride in zip(outputs, strides):
+        n, ch, hh, ww = arr.shape
+        jj, ii = np.meshgrid(np.arange(ww), np.arange(hh))
+        cx = (expit_masked(arr[:, 0]) + jj) * stride
+        cy = (expit_masked(arr[:, 1]) + ii) * stride
+        bw = np.exp(np.clip(arr[:, 2], -20.0, 8.0)) * stride
+        bh = np.exp(np.clip(arr[:, 3], -20.0, 8.0)) * stride
+        scores = expit_masked(arr[:, 4])[:, None] * expit_masked(arr[:, 5:])
+        for b in range(n):
+            ks, iy, ix = np.nonzero(scores[b] > conf_thresh)
+            for k, i, j in zip(ks, iy, ix):
+                x1 = cx[b, i, j] - bw[b, i, j] / 2
+                y1 = cy[b, i, j] - bh[b, i, j] / 2
+                per_image[b].append(
+                    (float(scores[b, k, i, j]), int(k) + 1,
+                     (float(x1), float(y1), float(x1 + bw[b, i, j]), float(y1 + bh[b, i, j])))
+                )
+    results = []
+    for cands in per_image:
+        order = sorted(range(len(cands)), key=lambda t: -cands[t][0])
+        dets = []
+        kept_by_class = {}
+        for idx in order:
+            conf, cid, box = cands[idx]
+            kept = kept_by_class.setdefault(cid, [])
+            if any(box_iou_py(box, kb) > iou_thresh for kb in kept):
+                continue
+            kept.append(box)
+            dets.append((cid, box, conf))
+            if len(dets) >= max_det:
+                break
+        results.append(dets)
+    return results

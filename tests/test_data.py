@@ -209,6 +209,15 @@ class TestImageIO:
         else:
             assert np.array_equal(back, img[:, :, :3])
 
+    def test_png_many_idat_chunks(self, rng, tmp_path):
+        img = (rng.random((9, 11, 3)) * 255).astype(np.uint8)
+        one, many = tmp_path / "one.png", tmp_path / "many.png"
+        one.write_bytes(_make_png(img, 2))
+        many.write_bytes(_make_png(img, 2, idat_size=7))
+        assert many.stat().st_size > one.stat().st_size + 12 * 20  # over 20 IDAT chunks
+        assert np.array_equal(D.read_png(many), D.read_png(one))
+        assert np.array_equal(D.read_png(one), img)
+
     def test_png_up_and_sub_filters(self, tmp_path):
         img = np.tile(np.arange(8, dtype=np.uint8)[None, :, None] * 30, (4, 1, 3))
         raw = b""
@@ -256,18 +265,22 @@ def _paeth_ref(a, b, c):
     return b if pb <= pc else c
 
 
-def _png_wrap(raw, w, h, color_type):
+def _png_wrap(raw, w, h, color_type, idat_size=None):
+    """A PNG file around filtered rows; idat_size splits the compressed
+    stream into IDAT chunks of that many bytes."""
     def chunk(typ, body):
         return struct.pack(">I", len(body)) + typ + body + struct.pack(">I", zlib.crc32(typ + body))
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
+    z = zlib.compress(raw)
+    step = idat_size or len(z)
+    idat = b"".join(chunk(b"IDAT", z[i:i + step]) for i in range(0, len(z), step))
+    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + idat + chunk(b"IEND", b"")
 
 
-def _make_png(img, color_type):
+def _make_png(img, color_type, idat_size=None):
     h, w = img.shape[:2]
     raw = b"".join(b"\x00" + img[y].tobytes() for y in range(h))
-    return _png_wrap(raw, w, h, color_type)
+    return _png_wrap(raw, w, h, color_type, idat_size)
 
 
 class TestCoco:

@@ -2,6 +2,7 @@
 decoding and NMS."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fabme import tensor as T
 from fabme.blocks import C2FVMamba
@@ -9,6 +10,8 @@ from fabme.graph import (
     GraphSpec, build_graph, count_params, decode, nms, variant_spec,
 )
 from fabme.tensor import ShapeError, Tensor
+
+from oracles import box_iou_py, decode_loop
 
 
 def _module_counts(model):
@@ -164,3 +167,56 @@ class TestDecode:
         dets = decode(outs, 4, conf_thresh=0.3, iou_thresh=0.5)
         assert len(dets[0]) == 1 and dets[0][0].class_id == 1
         assert dets[0][0].confidence > 0.999
+
+
+def _exact(dets):
+    """Detections as (class, box, confidence) with floats as hex strings,
+    so equality is bit-for-bit."""
+    return [[(d[0], tuple(v.hex() for v in d[1]), d[2].hex()) for d in img] for img in dets]
+
+
+class TestDecodeOracle:
+    """The vectorised decode against the per-candidate loop with Python
+    greedy NMS it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           n=st.integers(1, 2), nc=st.integers(1, 4),
+           step=st.sampled_from([None, 0.5, 2.0]),
+           duplicate=st.booleans(),
+           obj_shift=st.sampled_from([0.0, 3.0, -40.0]),
+           conf=st.sampled_from([0.05, 0.25, 0.5]),
+           iou=st.sampled_from([0.0, 0.3, 0.45, 0.7]),
+           max_det=st.sampled_from([1, 7, 300]))
+    def test_same_detections_as_loop(self, seed, dtype, n, nc, step, duplicate,
+                                     obj_shift, conf, iou, max_det):
+        rng = np.random.default_rng(seed)
+        outs = []
+        for side in (8, 4, 2):
+            a = rng.standard_normal((n, 5 + nc, side, side)) * 3
+            a[:, 2:4] = rng.uniform(-1.0, 2.5, (n, 2, side, side))  # wide boxes overlap
+            a[:, 4] += obj_shift  # -40 leaves no candidate at all
+            if step:  # quantised logits: many exactly equal scores
+                a = np.round(a / step) * step
+            if duplicate:  # neighbouring cells repeat a cell's whole prediction
+                a[..., 1::2] = a[..., ::2]
+            outs.append(a.astype(dtype))
+        got = decode(outs, nc, conf_thresh=conf, iou_thresh=iou, max_det=max_det)
+        want = decode_loop(outs, nc, conf_thresh=conf, iou_thresh=iou, max_det=max_det)
+        assert all(type(d.confidence) is float and all(type(v) is float for v in d.box)
+                   for img in got for d in img)
+        assert _exact([[(d.class_id, d.box, d.confidence) for d in img] for img in got]) == _exact(want)
+        if obj_shift < 0:
+            assert got == [[] for _ in range(n)]
+
+    def test_nms_matches_greedy_loop_across_row_blocks(self, rng):
+        # more boxes than one block of IoU rows, heavy overlap, tied scores
+        xy = rng.uniform(0, 100, (700, 2))
+        boxes = np.concatenate([xy, xy + rng.uniform(5, 30, (700, 2))], axis=1)
+        scores = np.round(rng.random(700), 2)
+        want: list[int] = []
+        for i in sorted(range(700), key=lambda i: -scores[i]):
+            if all(box_iou_py(boxes[i], boxes[j]) <= 0.3 for j in want):
+                want.append(i)
+        assert nms(boxes, scores, 0.3) == want

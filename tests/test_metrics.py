@@ -3,9 +3,9 @@ brute-force oracle equivalence, and ranking properties."""
 import numpy as np
 import pytest
 
-from fabme.metrics import Detection, GroundTruth, iou, map50, match_and_ap
+from fabme.metrics import Detection, GroundTruth, iou, map50, match_and_ap, pairwise_iou
 
-from oracles import brute_force_map50, random_detection_scene
+from oracles import box_iou_py, brute_force_map50, random_detection_scene
 
 
 class TestIoU:
@@ -31,6 +31,17 @@ class TestIoU:
             v = iou(a, b)
             assert 0.0 <= v <= 1.0
             assert v == pytest.approx(iou(b, a), abs=1e-15)
+
+    def test_pairwise_bitwise_equals_scalar(self, rng):
+        # random pairs plus identical, edge-touching and disjoint ones
+        a = np.array([_rand_box(rng) for _ in range(20)] + [(0, 0, 2, 2), (2, 0, 4, 2)])
+        b = np.concatenate([a[:7], [(0, 0, 2, 2), (9e3, 9e3, 9e3 + 1, 9e3 + 1)],
+                            [_rand_box(rng) for _ in range(9)]])
+        got = pairwise_iou(a, b)
+        assert got.shape == (len(a), len(b))
+        assert got.tolist() == [[box_iou_py(tuple(p), tuple(q)) for q in b] for p in a]
+        assert got[0, 0] == iou(a[0], b[0]) == 1.0
+        assert got[-2, 7] == 1.0 and got[-1, 7] == 0.0 and not got[:, 8].any()
 
 
 def _rand_box(rng):

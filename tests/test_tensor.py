@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fabme import tensor as T
 from fabme.tensor import ConvSpec, ShapeError, Tensor
 
-from oracles import conv2d_direct
+from oracles import conv2d_direct, expit_masked
 
 
 class TestConv2d:
@@ -143,6 +143,17 @@ class TestElementwise:
 
     def test_silu_at_one(self):
         assert T.silu(Tensor(np.array(1.0))).item() == pytest.approx(0.7310585786300049, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_expit_bitwise_equals_masked_formula(self, dtype, rng):
+        fi = np.finfo(dtype)
+        edges = [0.0, -0.0, 800.0, -800.0, fi.smallest_subnormal, -fi.smallest_subnormal,
+                 fi.tiny, -fi.tiny]
+        x = np.concatenate([np.array(edges, dtype), (rng.standard_normal(4096) * 20).astype(dtype)])
+        x = x.reshape(2, -1)
+        got, want = T._expit(x), expit_masked(x)
+        assert got.dtype == dtype and got.shape == x.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
     def test_split_concat_inverse(self, rng):
         x = Tensor(rng.standard_normal((2, 8, 3, 3)))
