@@ -8,6 +8,7 @@ during evaluation, so evaluating disjoint inputs concurrently is safe.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -329,13 +330,19 @@ def save_checkpoint(path, named_params):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read save_checkpoint's records; a malformed file raises ValueError."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         while True:
             head = f.read(4)
             if not head:
                 break
+            if len(head) < 4:
+                raise ValueError(f"{path}: truncated checkpoint record")
             (ln,) = struct.unpack("<I", head)
+            if ln > size - f.tell():
+                raise ValueError(f"{path}: checkpoint name of {ln} bytes overruns the file")
             name = f.read(ln).decode()
             out[name] = T.read_snapshot(f)
     return out

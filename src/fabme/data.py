@@ -3,14 +3,18 @@ remap annotations into tile frames, discard defect-free tiles, split 4:1
 by source image, and report per-category statistics.
 
 Image IO is dependency-free: PPM (P5/P6) read/write and a minimal PNG
-reader (8-bit, non-interlaced).
+reader (8-bit, non-interlaced) that undoes all five PNG filters with
+numpy, every row at once along anti-diagonals, in bands that keep its
+memory within a few times the image.  Malformed files raise ValueError.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import os
 import struct
+import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +26,7 @@ __all__ = [
     "Annotation", "TileJob", "Sample",
     "plan_tiles", "remap_annotations", "plan_tile_job", "extract_tile",
     "split_dataset", "read_labels", "write_labels", "read_coco",
-    "read_ppm", "write_ppm", "read_png", "load_image",
+    "read_ppm", "write_ppm", "read_png", "read_image", "load_image",
     "scan_dataset", "tile_dataset", "write_manifest", "category_stats",
 ]
 
@@ -253,44 +257,47 @@ def read_ppm(path) -> np.ndarray:
         maxval = int(_read_pnm_token(f))
         if maxval != 255:
             raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: bad PNM size {w}x{h}")
         channels = 3 if magic == b"P6" else 1
-        payload = f.read(w * h * channels)
-        if len(payload) != w * h * channels:
+        size = w * h * channels
+        if size > os.fstat(f.fileno()).st_size - f.tell():
             raise ValueError(f"{path}: truncated pixel data")
+        payload = f.read(size)
     img = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
     return np.repeat(img, 3, axis=2) if channels == 1 else img.copy()
 
 
-def _paeth(a, b, c):
-    p = int(a) + int(b) - int(c)
-    pa, pb, pc = abs(p - int(a)), abs(p - int(b)), abs(p - int(c))
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
-
-
 def read_png(path) -> np.ndarray:
     """Minimal PNG reader: 8-bit gray/gray+alpha/RGB/RGBA, no interlace.
-    Returns (H, W, 3) uint8."""
-    with open(path, "rb") as f:
-        if f.read(8) != b"\x89PNG\r\n\x1a\n":
-            raise ValueError(f"{path}: not a PNG file")
-        width = height = bit_depth = color_type = interlace = None
-        idat = []
-        while True:
-            head = f.read(8)
-            if len(head) < 8:
-                raise ValueError(f"{path}: truncated PNG")
-            (length,) = struct.unpack(">I", head[:4])
-            ctype = head[4:8]
-            body = f.read(length)
-            f.read(4)  # crc
-            if ctype == b"IHDR":
-                width, height, bit_depth, color_type, _, _, interlace = struct.unpack(">IIBBBBB", body)
-            elif ctype == b"IDAT":
-                idat.append(body)
-            elif ctype == b"IEND":
-                break
+    Returns (H, W, 3) uint8; a malformed file raises ValueError."""
+    blob = memoryview(Path(path).read_bytes())
+    if blob[:8] != b"\x89PNG\r\n\x1a\n":
+        raise ValueError(f"{path}: not a PNG file")
+    ihdr, idat, pos = None, [], 8
+    while True:
+        if pos + 12 > len(blob):  # length, type and crc of the next chunk
+            raise ValueError(f"{path}: truncated PNG")
+        length, ctype = struct.unpack_from(">I4s", blob, pos)
+        body = blob[pos + 8:pos + 8 + length]
+        pos += 12 + length
+        if pos > len(blob):
+            raise ValueError(f"{path}: truncated {ctype!r} chunk")
+        if ctype == b"IHDR":
+            if ihdr is not None or len(body) != 13:
+                raise ValueError(f"{path}: bad IHDR chunk")
+            ihdr = struct.unpack(">IIBBBBB", body)
+        elif ctype == b"IDAT":
+            if ihdr is None:
+                raise ValueError(f"{path}: IDAT before IHDR")
+            idat.append(body)
+        elif ctype == b"IEND":
+            break
+    if ihdr is None:
+        raise ValueError(f"{path}: no IHDR chunk")
+    width, height, bit_depth, color_type, _, _, interlace = ihdr
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: bad PNG size {width}x{height}")
     if bit_depth != 8:
         raise ValueError(f"{path}: only 8-bit PNG supported, got bit depth {bit_depth}")
     if interlace:
@@ -298,60 +305,92 @@ def read_png(path) -> np.ndarray:
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color_type)
     if channels is None:
         raise ValueError(f"{path}: unsupported PNG color type {color_type}")
-    raw = zlib.decompress(b"".join(idat))
-    stride = width * channels
-    if len(raw) != (stride + 1) * height:
+    size = (width * channels + 1) * height
+    try:  # stop a zlib bomb one byte past the size the header declares
+        raw = zlib.decompressobj().decompress(b"".join(idat), max_length=min(size + 1, sys.maxsize))
+    except zlib.error as e:
+        raise ValueError(f"{path}: corrupt PNG data ({e})") from None
+    if len(raw) != size:
         raise ValueError(f"{path}: PNG payload size mismatch")
-    img = np.zeros((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y in range(height):
-        ftype = raw[y * (stride + 1)]
-        line = np.frombuffer(raw, dtype=np.uint8,
-                             count=stride, offset=y * (stride + 1) + 1).copy()
-        if ftype == 0:
-            recon = line
-        elif ftype == 1:
-            recon = line
-            for i in range(channels, stride):
-                recon[i] = (int(recon[i]) + int(recon[i - channels])) & 0xFF
-        elif ftype == 2:
-            recon = (line.astype(np.int16) + prev).astype(np.uint8)
-        elif ftype == 3:
-            recon = line
-            for i in range(stride):
-                left = recon[i - channels] if i >= channels else 0
-                recon[i] = (int(recon[i]) + (int(left) + int(prev[i])) // 2) & 0xFF
-        elif ftype == 4:
-            recon = line
-            for i in range(stride):
-                left = recon[i - channels] if i >= channels else 0
-                ul = prev[i - channels] if i >= channels else 0
-                recon[i] = (int(recon[i]) + int(_paeth(left, prev[i], ul))) & 0xFF
-        else:
-            raise ValueError(f"{path}: unknown PNG filter type {ftype}")
-        img[y] = recon
-        prev = recon
-    img = img.reshape(height, width, channels)
-    if channels == 1:
-        return np.repeat(img, 3, axis=2)
-    if channels == 2:
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, -1)
+    if rows[:, 0].max() > 4:
+        raise ValueError(f"{path}: unknown PNG filter type {rows[:, 0].max()}")
+    img = _unfilter(rows[:, 1:].reshape(height, width, channels), rows[:, 0])
+    if channels <= 2:  # gray, with alpha dropped
         return np.repeat(img[:, :, :1], 3, axis=2)
-    if channels == 4:
-        return img[:, :, :3].copy()
-    return img
+    return np.ascontiguousarray(img[:, :, :3])
+
+
+def _unfilter(filt: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
+    """Undo the PNG filters (W3C PNG specification, section 9) of (H, W,
+    bpp) filtered pixels, ftypes[r] being the filter type of row r.  Bands
+    of at most W rows keep the work arrays within a few times the image;
+    each band's prior row is the last row of the band before."""
+    h, w, bpp = filt.shape
+    out = np.empty(filt.shape, dtype=np.uint8)
+    prior = np.zeros((w, bpp), dtype=np.uint8)
+    for top in range(0, h, w):
+        band = out[top:top + w]
+        band[...] = _unfilter_band(filt[top:top + w], ftypes[top:top + w], prior)
+        prior = band[-1]
+    return out
+
+
+def _unfilter_band(filt, ftypes, prior):
+    """Decode every row at once, one anti-diagonal of pixels per step: pixel
+    (r, x) lies on diagonal r + x, and its left (r, x-1), up (r-1, x) and
+    up-left (r-1, x-1) neighbours on the two diagonals before it.  Both
+    work arrays are diagonal-major: f[k, r] holds filtered pixel (r, k-r),
+    d[k+2, r+1] decoded pixel (r, k-r); d's row 0 is the prior row and its
+    first two diagonals, like every pixel left of x = 0, stay zero."""
+    h, w, bpp = filt.shape
+    n = w + h - 1
+    f = np.zeros((n, h, bpp), dtype=np.int16)
+    d = np.zeros((n + 2, h + 1, bpp), dtype=np.int16)
+    _skewed(f, 0, 0, h, w)[...] = filt
+    d[1:w + 1, 0] = prior
+    # Each step runs on flat byte runs.  None, Sub, Up and Average predict
+    # (ka*a + kb*b) >> 1 with (ka, kb) = (0, 0), (2, 0), (0, 2), (1, 1);
+    # Paeth rows have ka = kb = 0 and kp = 1.
+    ka, kb, kp = (np.repeat(np.array(v, dtype=np.int16)[ftypes], bpp)
+                  for v in ((0, 2, 0, 1, 0), (0, 0, 2, 1, 0), (0, 0, 0, 0, 1)))
+    f, d = f.reshape(n, -1), d.reshape(n + 2, -1)
+    for k in range(n):
+        lo, hi = max(0, k - w + 1) * bpp, min(h, k + 1) * bpp  # rows with 0 <= k - r < w
+        a, b, c = d[k + 1, lo + bpp:hi + bpp], d[k + 1, lo:hi], d[k, lo:hi]
+        ac, bc = a - c, b - c
+        pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(ac + bc)
+        near = c + bc * (pb <= pc)  # the spec's tie order: a, then b, then c
+        paeth = near + (a - near) * ((pa <= pb) & (pa <= pc))
+        pred = ((ka[lo:hi] * a + kb[lo:hi] * b) >> 1) + kp[lo:hi] * paeth
+        d[k + 2, lo + bpp:hi + bpp] = (f[k, lo:hi] + pred) & 0xFF
+    return _skewed(d.reshape(n + 2, h + 1, bpp), 2, 1, h, w)
+
+
+def _skewed(diag, k0, r0, h, w):
+    """The (h, w, bpp) view of diagonal-major diag in which pixel (r, x) is
+    diag[r + x + k0, r + r0]."""
+    rows, bpp = diag.shape[1:]
+    step = diag.itemsize * bpp
+    return np.lib.stride_tricks.as_strided(
+        diag.reshape(-1)[(k0 * rows + r0) * bpp:], shape=(h, w, bpp),
+        strides=(step * (rows + 1), step * rows, diag.itemsize))
+
+
+def read_image(path) -> np.ndarray:
+    """Read a PPM/PGM or PNG file into (H, W, 3) uint8."""
+    path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix in (".ppm", ".pnm", ".pgm"):
+        return read_ppm(path)
+    if suffix == ".png":
+        return read_png(path)
+    raise ValueError(f"unsupported image format {suffix!r} (PPM/PNG supported)")
 
 
 def load_image(path) -> np.ndarray:
     """Read an image file into (3, H, W) float64 in [0, 1]."""
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix in (".ppm", ".pnm", ".pgm"):
-        img = read_ppm(path)
-    elif suffix == ".png":
-        img = read_png(path)
-    else:
-        raise ValueError(f"unsupported image format {suffix!r} (PPM/PNG supported)")
-    return img.astype(np.float64).transpose(2, 0, 1) / 255.0
+    return read_image(path).transpose(2, 0, 1) / 255.0
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +463,7 @@ def tile_dataset(in_dir, out_dir, tile: int = TILE_SIZE, seed: int = 0,
         (out_dir / part / "labels").mkdir(parents=True, exist_ok=True)
 
     def process(src: Sample):
-        img = (load_image(src.image_path).transpose(1, 2, 0) * 255.0).round().astype(np.uint8)
+        img = read_image(src.image_path)
         h, w = img.shape[:2]
         job = plan_tile_job(src.image_id, w, h, src.annotations, tile, min_area_ratio, min_px)
         part = part_of[src.image_id]

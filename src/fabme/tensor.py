@@ -8,6 +8,8 @@ are never mutated once produced, so read-only sharing is safe.
 from __future__ import annotations
 
 import contextlib
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -855,20 +857,32 @@ def write_snapshot(f, array: np.ndarray):
 
 
 def read_snapshot(f) -> np.ndarray:
-    """Inverse of write_snapshot; returns a float64 array."""
+    """Inverse of write_snapshot; returns a float64 array.  A malformed
+    snapshot raises ValueError before any read larger than the file."""
     own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
     fh = open(f, "rb") if own else f
     try:
         magic = fh.read(4)
         if magic != b"FABT":
             raise ValueError(f"bad snapshot magic {magic!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        dims = [struct.unpack("<I", fh.read(4))[0] for _ in range(rank)]
-        count = int(np.prod(dims)) if dims else 1
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError("snapshot payload truncated")
-        return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        (rank,) = _read_struct(fh, "<I")
+        if rank > 32:  # numpy's dimension limit
+            raise ValueError(f"snapshot rank {rank} > 32")
+        dims = _read_struct(fh, f"<{rank}I")
+        size = 8 * math.prod(dims)
+        pos = fh.tell()
+        left = fh.seek(0, os.SEEK_END) - pos
+        fh.seek(pos)
+        if size > left:
+            raise ValueError(f"snapshot payload truncated: shape {dims} needs {size} bytes, {left} left")
+        return np.frombuffer(fh.read(size), dtype="<f8").reshape(dims).copy()
     finally:
         if own:
             fh.close()
+
+
+def _read_struct(fh, fmt: str) -> tuple:
+    data = fh.read(struct.calcsize(fmt))
+    if len(data) != struct.calcsize(fmt):
+        raise ValueError("snapshot header truncated")
+    return struct.unpack(fmt, data)

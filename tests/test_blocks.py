@@ -1,7 +1,10 @@
 """Composite blocks: fixed points, channel arithmetic, attention
 properties, gradients, checkpoint format."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fabme import tensor as T
 from fabme.blocks import (
@@ -206,6 +209,46 @@ class TestCheckpoint:
         save_checkpoint(path, (("layer." + n, t) for n, t in conv.named_parameters()))
         state = load_checkpoint(path)
         assert list(state) == ["layer." + n for n, _ in conv.named_parameters()]
+
+    def test_huge_name_length_rejected(self, tmp_path):
+        path = tmp_path / "n.fabck"
+        path.write_bytes(struct.pack("<I", 2**32 - 1) + b"w" * 16)
+        with pytest.raises(ValueError, match="overruns"):
+            load_checkpoint(path)
+
+    def test_huge_dims_rejected(self, tmp_path):
+        import tracemalloc
+        path = tmp_path / "d.fabck"
+        path.write_bytes(struct.pack("<I", 1) + b"w" + b"FABT" + struct.pack("<3I", 2, 100000, 100000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_is_value_error(self, data):
+        import tempfile
+        from pathlib import Path
+        conv = Conv(2, 3, 1, rng=np.random.default_rng(0))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.fabck"
+            save_checkpoint(path, conv.named_parameters())
+            blob = path.read_bytes()
+            if data.draw(st.booleans(), label="truncate"):
+                blob = blob[:data.draw(st.integers(1, len(blob) - 1), label="length")]
+            else:
+                pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+                blob = blob[:pos] + bytes([blob[pos] ^ data.draw(st.integers(1, 255), label="xor")]) + blob[pos + 1:]
+            path.write_bytes(blob)
+            try:
+                load_checkpoint(path)
+            except ValueError:
+                pass
 
     def test_shape_mismatch_rejected(self, rng, tmp_path):
         a = Conv(3, 4, 3, rng=rng)

@@ -283,6 +283,209 @@ def _make_png(img, color_type, idat_size=None):
     return _png_wrap(raw, w, h, color_type, idat_size)
 
 
+def _filter_rows(rows, bpp):
+    """All five PNG filters of every row of (H, stride) uint8 pixels, built
+    from the original pixels: (5, H, stride) uint8, indexed by filter type."""
+    up = np.zeros_like(rows)
+    up[1:] = rows[:-1]
+    left = np.zeros_like(rows)
+    left[:, bpp:] = rows[:, :-bpp]
+    ul = np.zeros_like(rows)
+    ul[1:, bpp:] = rows[:-1, :-bpp]
+    a, b, c = (v.astype(np.int16) for v in (left, up, ul))
+    p = a + b - c
+    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, ul))
+    average = ((a + b) // 2).astype(np.uint8)
+    return np.stack([rows, rows - left, rows - up, rows - average, rows - paeth])
+
+
+_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
+
+
+def _filtered_png(img, color_type, ftypes):
+    """PNG bytes of (H, W, channels) uint8 pixels, row r filtered with
+    filter type ftypes[r]."""
+    h, w, channels = img.shape
+    filtered = _filter_rows(img.reshape(h, w * channels), channels)
+    raw = b"".join(bytes([t]) + filtered[t, r].tobytes() for r, t in enumerate(ftypes))
+    return _png_wrap(raw, w, h, color_type)
+
+
+def _as_rgb(img):
+    """What read_png returns for (H, W, channels) pixels: gray replicated,
+    alpha dropped."""
+    return np.repeat(img[:, :, :1], 3, axis=2) if img.shape[2] <= 2 else img[:, :, :3]
+
+
+class TestPngFilters:
+    """Round trips through every filter type, each row's type drawn at
+    random; rows of a tall image span several decode bands."""
+
+    @pytest.mark.parametrize("color_type", [0, 2, 4, 6])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (2, 2), (23, 5), (9, 17)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_roundtrip_bit_exact(self, tmp_path, color_type, shape):
+        rng = np.random.default_rng(sum(shape) * 10 + color_type)
+        img = rng.integers(0, 256, (*shape, _CHANNELS[color_type]), dtype=np.uint8)
+        ftypes = rng.integers(0, 5, shape[0])
+        path = tmp_path / "f.png"
+        path.write_bytes(_filtered_png(img, color_type, ftypes))
+        assert np.array_equal(D.read_png(path), _as_rgb(img))
+        raw = _filter_rows(img.reshape(shape[0], -1), img.shape[2])[ftypes, np.arange(shape[0])]
+        decoded = D._unfilter(raw.reshape(img.shape), ftypes.astype(np.uint8))
+        assert np.array_equal(decoded, img)  # alpha too
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(1, 20), w=st.integers(1, 20), color_type=st.sampled_from([0, 2, 4, 6]),
+           levels=st.sampled_from([2, 4, 256]), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_random(self, h, w, color_type, levels, seed):
+        """Few levels force Paeth ties, where the spec's a, b, c order decides."""
+        import tempfile
+        from pathlib import Path
+        rng = np.random.default_rng(seed)
+        img = (rng.integers(0, levels, (h, w, _CHANNELS[color_type])) * (255 // (levels - 1))).astype(np.uint8)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.png"
+            path.write_bytes(_filtered_png(img, color_type, rng.integers(0, 5, h)))
+            assert np.array_equal(D.read_png(path), _as_rgb(img))
+
+    def test_paeth_ties_take_b_before_c(self, tmp_path):
+        # pixel (1, 0) decodes to (246 + 10) & 0xFF = 0; then pixel (1, 1)
+        # has a = 0, b = 30, c = 10: pb = pc = 10 < pa = 20, so b, not c
+        raw = b"\x00" + bytes([10, 30]) + b"\x04" + bytes([246, 0])
+        path = tmp_path / "t.png"
+        path.write_bytes(_png_wrap(raw, 2, 2, 0))
+        assert D.read_png(path)[1, :, 0].tolist() == [0, 30]
+
+    def test_tall_thin_memory_bounded(self, tmp_path):
+        import tracemalloc
+        rng = np.random.default_rng(0)
+        img = rng.integers(0, 256, (3000, 4, 3), dtype=np.uint8)
+        path = tmp_path / "tall.png"
+        path.write_bytes(_filtered_png(img, 2, rng.integers(0, 5, 3000)))
+        tracemalloc.start()
+        try:
+            back = D.read_png(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, img)
+        assert peak < 16 * img.nbytes  # one diagonal-major band of 3000 rows would take 54 MB
+
+
+class TestHostileImages:
+    """Malformed image files raise ValueError, before any allocation the
+    file's own size does not justify."""
+
+    def _png(self):
+        img = np.arange(4 * 5 * 3, dtype=np.uint8).reshape(4, 5, 3)
+        return _filtered_png(img, 2, [0, 1, 3, 4]), img
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_png_truncated_or_flipped(self, data):
+        import tempfile
+        from pathlib import Path
+        png, _ = self._png()
+        if data.draw(st.booleans(), label="truncate"):
+            png = png[:data.draw(st.integers(0, len(png) - 1), label="length")]
+        else:
+            pos = data.draw(st.integers(0, len(png) - 1), label="pos")
+            png = png[:pos] + bytes([png[pos] ^ data.draw(st.integers(1, 255), label="xor")]) + png[pos + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "h.png"
+            path.write_bytes(png)
+            try:
+                img = D.read_png(path)
+            except ValueError:
+                return
+        assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+
+    @staticmethod
+    def _peak(fn, *args):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                fn(*args)
+            return tracemalloc.get_traced_memory()[1], str(info.value)
+        finally:
+            tracemalloc.stop()
+
+    def test_png_zlib_bomb_stops_at_declared_size(self, tmp_path):
+        bomb = _png_wrap(b"\x00" * 50_000_000, 4, 4, 2)  # 50 MB of zeros, a 4x4 header
+        path = tmp_path / "bomb.png"
+        path.write_bytes(bomb)
+        assert len(bomb) < 100_000
+        peak, msg = self._peak(D.read_png, path)
+        assert "size mismatch" in msg and peak < 1_000_000
+
+    def test_png_huge_header_small_payload(self, tmp_path):
+        path = tmp_path / "big.png"
+        path.write_bytes(_png_wrap(b"\x00" * 13, 2**31 - 1, 2**31 - 1, 6))
+        peak, msg = self._peak(D.read_png, path)
+        assert "size mismatch" in msg and peak < 1_000_000
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda p: p[:12] + b"IHDX" + p[16:], "IDAT before IHDR"),
+        (lambda p: p[:8] + p[-12:], "no IHDR"),  # IEND alone
+        (lambda p: p[:8] + struct.pack(">I", 12) + p[12:], "IHDR"),
+        (lambda p: p[:-20], "truncated"),
+        (lambda p: p[:16] + struct.pack(">I", 0) + p[20:], "size 0x4"),
+    ])
+    def test_png_bad_structure(self, tmp_path, edit, match):
+        png, _ = self._png()
+        path = tmp_path / "b.png"
+        path.write_bytes(edit(png))
+        with pytest.raises(ValueError, match=match):
+            D.read_png(path)
+
+    def test_png_chunk_shorter_than_declared(self, tmp_path):
+        png, _ = self._png()
+        idat = png.index(b"IDAT") - 4
+        (length,) = struct.unpack(">I", png[idat:idat + 4])
+        path = tmp_path / "s.png"
+        path.write_bytes(png[:idat] + struct.pack(">I", length + 10**6) + png[idat + 4:])
+        with pytest.raises(ValueError, match="truncated"):
+            D.read_png(path)
+
+    def test_png_unknown_filter_type(self, tmp_path):
+        path = tmp_path / "u.png"
+        path.write_bytes(_png_wrap(b"\x05" + b"\x00" * 6, 2, 1, 2))
+        with pytest.raises(ValueError, match="filter type 5"):
+            D.read_png(path)
+
+    def test_png_corrupt_stream(self, tmp_path):
+        png, _ = self._png()
+        path = tmp_path / "z.png"
+        ihdr_end = 8 + 25
+        path.write_bytes(png[:ihdr_end] + struct.pack(">I", 4) + b"IDAT" + b"\xff" * 8 + png[-12:])
+        with pytest.raises(ValueError, match="corrupt"):
+            D.read_png(path)
+
+    def test_ppm_header_larger_than_file(self, tmp_path):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(b"P6\n100000 100000\n255\n" + b"\x00" * 12)
+        peak, msg = self._peak(D.read_ppm, path)
+        assert "truncated" in msg and peak < 1_000_000
+
+    @pytest.mark.parametrize("header", [b"P6\n0 4\n255\n", b"P6\n-2 -2\n255\n"])
+    def test_ppm_bad_size(self, tmp_path, header):
+        path = tmp_path / "z.ppm"
+        path.write_bytes(header + b"\x00" * 48)
+        with pytest.raises(ValueError, match="size"):
+            D.read_ppm(path)
+
+    def test_read_image_is_uint8_and_load_image_scales_it(self, tmp_path):
+        png, img = self._png()
+        path = tmp_path / "i.png"
+        path.write_bytes(png)
+        got = D.read_image(path)
+        assert got.dtype == np.uint8 and np.array_equal(got, img)
+        assert np.array_equal(D.load_image(path), img.astype(np.float64).transpose(2, 0, 1) / 255.0)
+
+
 class TestCoco:
     def test_bbox_conversion(self, tmp_path):
         import json

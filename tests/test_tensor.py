@@ -270,3 +270,26 @@ class TestSnapshot:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             T.read_snapshot(io.BytesIO(b"NOPE" + b"\x00" * 16))
+
+    def test_huge_dims_rejected_without_allocating(self, tmp_path):
+        import tracemalloc
+        path = tmp_path / "h.fabt"
+        path.write_bytes(b"FABT" + struct.pack("<3I", 2, 100000, 100000) + b"\x00" * 4)
+        assert path.stat().st_size == 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                T.read_snapshot(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("blob", [
+        b"FABT", b"FABT\x02\x00", b"FABT" + struct.pack("<2I", 2, 3),  # short header
+        b"FABT" + struct.pack("<I", 33) + b"\x01\x00\x00\x00" * 33,  # rank over numpy's 32
+        b"FABT" + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1),  # product overflows int64
+    ])
+    def test_malformed_header_is_value_error(self, blob):
+        with pytest.raises(ValueError):
+            T.read_snapshot(io.BytesIO(blob))
