@@ -25,7 +25,7 @@ import numpy as np
 __all__ = [
     "Annotation", "TileJob", "Sample",
     "plan_tiles", "remap_annotations", "plan_tile_job", "extract_tile",
-    "split_dataset", "read_labels", "write_labels", "read_coco",
+    "split_dataset", "read_labels", "write_labels", "read_coco", "read_key_values",
     "read_ppm", "write_ppm", "read_png", "read_image", "load_image",
     "scan_dataset", "tile_dataset", "write_manifest", "category_stats",
 ]
@@ -114,6 +114,30 @@ def read_coco(path) -> dict[str, list[Annotation]]:
             w=w / im["width"],
             h=h / im["height"],
         ))
+    return out
+
+
+def read_key_values(path, casts: dict, kind: str) -> dict:
+    """Read a config file of key=value lines as {key: casts[key](value)}.
+
+    Blank lines and lines starting with # are skipped.  A line without
+    "=", a key not in casts or a value its cast rejects raises ValueError
+    naming the file and the line."""
+    out = {}
+    with open(path) as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            k, v = (s.strip() for s in line.split("=", 1))
+            if k not in casts:
+                raise ValueError(f"{path}:{lineno}: unknown {kind} key {k!r}")
+            try:
+                out[k] = casts[k](v)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {k}: {e}") from None
     return out
 
 

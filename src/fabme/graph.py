@@ -18,6 +18,7 @@ from fabme.blocks import (
     C2F, C2FVMamba, C2FVMambaConfig, Conv, EMCA, EMCAConfig, Module, SPPF,
     block_rng,
 )
+from fabme.data import read_key_values
 from fabme.metrics import Detection, pairwise_iou
 from fabme.tensor import NonFiniteError, ShapeError, Tensor, _expit
 
@@ -102,33 +103,7 @@ class GraphSpec:
 
     @staticmethod
     def from_file(path) -> "GraphSpec":
-        kwargs = {}
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                k, v = (s.strip() for s in line.split("=", 1))
-                kwargs[k] = v
-        return GraphSpec(**_coerce_fields(kwargs))
-
-
-def _coerce_fields(kwargs: dict) -> dict:
-    out = {}
-    hints = {
-        "width_mult": float, "depth_mult": float, "ssm_expand": float,
-        "emca_enabled": _parse_bool, "strict_paper_concat": _parse_bool,
-        "num_classes": int, "input_size": int, "in_channels": int,
-        "seed": int, "d_state": int,
-        "vmamba_position": str, "dtype": str,
-    }
-    for k, v in kwargs.items():
-        if k not in hints:
-            raise ValueError(f"unknown graph config key {k!r}")
-        out[k] = hints[k](v)
-    return out
+        return GraphSpec(**read_key_values(path, _SPEC_CASTS, "graph config"))
 
 
 def _parse_bool(s: str) -> bool:
@@ -137,6 +112,15 @@ def _parse_bool(s: str) -> bool:
     if s.lower() in ("false", "0", "no"):
         return False
     raise ValueError(f"cannot parse boolean from {s!r}")
+
+
+_SPEC_CASTS = {
+    "width_mult": float, "depth_mult": float, "ssm_expand": float,
+    "emca_enabled": _parse_bool, "strict_paper_concat": _parse_bool,
+    "num_classes": int, "input_size": int, "in_channels": int,
+    "seed": int, "d_state": int,
+    "vmamba_position": str, "dtype": str,
+}
 
 
 def variant_spec(name: str, scale: str = "s", **overrides) -> GraphSpec:

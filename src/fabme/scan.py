@@ -215,7 +215,14 @@ def selective_scan_1d(seq: Tensor, p: ScanParams) -> Tensor:
         raise ShapeError(f"selective_scan_1d: token width {d} != d_model {p.d_model}")
     if L < 1:
         raise ShapeError("selective_scan_1d: empty sequence")
-    dt = softplus(add(linear(linear(seq, p.w_dt_down), p.w_dt_up), p.dt_bias))
+    pre = add(linear(linear(seq, p.w_dt_down), p.w_dt_up), p.dt_bias)
+    dt = softplus(pre)
+    if np.any(dt.data <= 0):
+        raise ValueError(
+            "selective_scan_1d: softplus underflowed to dt = 0: the step-size "
+            f"pre-activation (dt projection + dt_bias) reaches {pre.data.min():.4g} "
+            f"in {pre.data.dtype}; raise dt_bias or shrink the dt projection"
+        )
     A = neg(exp(p.a_log))
     B = linear(seq, p.w_b)
     C = linear(seq, p.w_c)

@@ -284,11 +284,17 @@ def log(a: Tensor) -> Tensor:
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid without overflow: 1 / (1 + e) for x >= 0 and
-    e / (1 + e) below, with e = exp(-|x|), computed in place."""
-    e = np.asarray(np.exp(-np.abs(x)))  # a 0-d input gives a scalar here
-    d = e + 1.0
-    np.copyto(e, 1.0, where=x >= 0)
+    """Logistic sigmoid without overflow or masks: exp(min(x, 0)) / (1 +
+    exp(-|x|)).  The numerator is exactly exp(0) = 1 for x >= 0 and
+    exp(x) = exp(-|x|) below, so this is 1 / (1 + e) and e / (1 + e) with
+    e = exp(-|x|), computed in two buffers."""
+    x = np.asarray(x)
+    d = np.abs(x, out=np.empty_like(x))  # out= keeps a 0-d input an array
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    e = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(e, out=e)
     e /= d
     return e
 
@@ -537,7 +543,7 @@ def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None, oc: int) -> Tensor:
     w2 = weight.data.reshape(oc, c)
     out = np.matmul(w2, x2)
     if bias is not None:
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
     out = out.reshape(n, oc, h, w)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -559,7 +565,7 @@ def _conv_im2col(x, weight, bias, kh, kw, s, p, oh, ow):
     w2 = weight.data.reshape(oc, -1)
     out = np.matmul(w2, cols)
     if bias is not None:
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
     out = out.reshape(n, oc, oh, ow)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -685,7 +691,8 @@ def global_max_pool(x: Tensor) -> Tensor:
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: int = 1, padding: int = 0) -> Tensor:
-    """Max pooling; ties go to the first window offset in row-major order."""
+    """Max pooling; ties go to the first window offset in row-major order,
+    and a NaN in a window makes its output NaN."""
     n, c, h, w = x.data.shape
     k, s, p = kernel, stride, padding
     oh = (h + 2 * p - k) // s + 1
@@ -697,22 +704,22 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, padding: int = 0) -> Tens
         xp[:, :, p:p + h, p:p + w] = x.data
     else:
         xp = x.data
-    best = None
-    arg = np.zeros((n, c, oh, ow), dtype=np.int16)
-    for i, (u, v) in enumerate((u, v) for u in range(k) for v in range(k)):
-        sl = xp[:, :, u:u + s * oh:s, v:v + s * ow:s]
-        if best is None:
-            best = sl.copy()
-        else:
-            m = sl > best
-            best[m] = sl[m]
-            arg[m] = i
-    out = best
+    windows = [xp[:, :, u:u + s * oh:s, v:v + s * ow:s] for u in range(k) for v in range(k)]
+    out = windows[0].copy()
+    for win in windows[1:]:
+        # np.maximum returns its second operand on a tie (+0 against -0
+        # included), so the earliest offset's value is kept
+        np.maximum(win, out, out=out)
 
     def backward(g):
         gxp = np.zeros_like(xp)
-        for i, (u, v) in enumerate((u, v) for u in range(k) for v in range(k)):
-            gxp[:, :, u:u + s * oh:s, v:v + s * ow:s] += np.where(arg == i, g, 0.0)
+        free = np.ones(out.shape, dtype=bool)  # outputs whose gradient is not yet routed
+        for u in range(k):
+            for v in range(k):
+                hit = xp[:, :, u:u + s * oh:s, v:v + s * ow:s] == out
+                hit &= free
+                free ^= hit
+                gxp[:, :, u:u + s * oh:s, v:v + s * ow:s] += np.where(hit, g, 0.0)
         _acc(x, gxp[:, :, p:p + h, p:p + w] if p else gxp)
 
     return _node(out, (x,), backward, "maxpool2d")
@@ -737,12 +744,18 @@ def channel_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     a learnable per-channel affine."""
     n, c, h, w = x.data.shape
     m = h * w
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=(2, 3), keepdims=True)
+    x3 = x.data.reshape(n, c, m)
+    mu = x3.mean(axis=2, keepdims=True)
+    xhat = x3 - mu
+    out = xhat * xhat
+    var = out.mean(axis=2, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gain.data[None, :, None, None] * xhat + bias.data[None, :, None, None]
+    xhat *= inv
+    np.multiply(gain.data[None, :, None], xhat, out=out)
+    out += bias.data[None, :, None]
+    out = out.reshape(n, c, h, w)
+    xhat = xhat.reshape(n, c, h, w)
+    inv = inv.reshape(n, c, 1, 1)
 
     def backward(g):
         gy = g * gain.data[None, :, None, None]
@@ -842,7 +855,7 @@ def grad_check(f: Callable, wrt, eps: float = 1e-5, tol: float = 1e-5) -> GradCh
 
 def write_snapshot(f, array: np.ndarray):
     """Write one array as: magic "FABT", u32 rank, u32 dims..., f64 payload."""
-    arr = np.ascontiguousarray(array, dtype="<f8")
+    arr = np.asarray(array, dtype="<f8")  # ascontiguousarray would make 0-d 1-d
     own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
     fh = open(f, "wb") if own else f
     try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fabme import graph, tensor as T
-from fabme.data import Annotation, Sample, load_image
+from fabme.data import Annotation, Sample, load_image, read_key_values
 from fabme.graph import FabMEModel
 from fabme.metrics import Detection, GroundTruth, map50
 from fabme.tensor import Tensor
@@ -55,20 +55,9 @@ class TrainConfig:
 
     @staticmethod
     def from_file(path) -> "TrainConfig":
-        kwargs = {}
-        casts = {"batch_size": int, "patience": int, "max_epochs": int, "seed": int}
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                k, v = (s.strip() for s in line.split("=", 1))
-                if k not in TrainConfig.__dataclass_fields__:
-                    raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
-                kwargs[k] = casts.get(k, float)(v)
-        return TrainConfig(**kwargs)
+        casts = dict.fromkeys(TrainConfig.__dataclass_fields__, float)
+        casts.update(batch_size=int, patience=int, max_epochs=int, seed=int)
+        return TrainConfig(**read_key_values(path, casts, "train config"))
 
 
 class TrainDivergedError(RuntimeError):
@@ -246,7 +235,12 @@ def eval_detections(model: FabMEModel, items, cfg: TrainConfig) -> tuple[list[De
                                   conf_thresh=cfg.eval_conf, iou_thresh=cfg.eval_iou)
         for (img, anns, iid), image_dets in zip(chunk, batch_dets):
             h, w = img.shape[-2:]
-            dets += [Detection(d.class_id, d.box, d.confidence, image_id=iid) for d in image_dets]
+            # decode's detections are fresh and reach no one else, so they
+            # are tagged in place, as a frozen dataclass's __init__ does,
+            # rather than built a second time
+            for d in image_dets:
+                object.__setattr__(d, "image_id", iid)
+            dets += image_dets
             gts += [GroundTruth(a.class_id, a.corners(w, h), image_id=iid) for a in anns]
     return dets, gts
 

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: a pure-Python brute-force
 detection evaluator (no shared code with fabme.metrics), a direct
-triple-loop convolution, the masked-scatter sigmoid and the per-candidate
-decode with its Python greedy NMS."""
+triple-loop convolution, the masked-scatter sigmoid, the masked forms of
+SiLU, channel normalisation and max pooling (forward value and input
+gradient), and the per-candidate decode with its Python greedy NMS."""
 from __future__ import annotations
 
 import numpy as np
@@ -128,6 +129,56 @@ def expit_masked(x):
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def silu_masked(x, g):
+    """SiLU x * sigmoid(x) on expit_masked, and its input gradient for the
+    upstream gradient g."""
+    s = expit_masked(x)
+    return x * s, g * s * (1.0 + x * (1.0 - s))
+
+
+def channel_norm_4d(x, gain, bias, g, eps=1e-5):
+    """Per-(n, c) plane normalisation over axes (2, 3) with a per-channel
+    affine: the forward value and the gradients of x, gain and bias."""
+    mu = x.mean(axis=(2, 3), keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=(2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = gain[None, :, None, None] * xhat + bias[None, :, None, None]
+    gy = g * gain[None, :, None, None]
+    gmean = gy.mean(axis=(2, 3), keepdims=True)
+    gdot = (gy * xhat).mean(axis=(2, 3), keepdims=True)
+    gx = inv * (gy - gmean - xhat * gdot)
+    return out, gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def maxpool2d_masked(x, k, s, p, g):
+    """Max pooling by boolean gather and scatter: a window offset replaces
+    the running maximum only when strictly greater, so ties (and a NaN
+    after the first offset) keep the earlier value, and the gradient goes
+    to the offset recorded in an argmax map.  Returns (out, grad of x)."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * p - k) // s + 1
+    ow = (w + 2 * p - k) // s + 1
+    xp = np.full((n, c, h + 2 * p, w + 2 * p), -np.inf, dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x
+    offsets = [(u, v) for u in range(k) for v in range(k)]
+    best = None
+    arg = np.zeros((n, c, oh, ow), dtype=np.int16)
+    for i, (u, v) in enumerate(offsets):
+        sl = xp[:, :, u:u + s * oh:s, v:v + s * ow:s]
+        if best is None:
+            best = sl.copy()
+        else:
+            m = sl > best
+            best[m] = sl[m]
+            arg[m] = i
+    gxp = np.zeros_like(xp)
+    for i, (u, v) in enumerate(offsets):
+        gxp[:, :, u:u + s * oh:s, v:v + s * ow:s] += np.where(arg == i, g, 0.0)
+    return best, gxp[:, :, p:p + h, p:p + w]
 
 
 def box_iou_py(a, b) -> float:

@@ -1,5 +1,6 @@
 """Data pipeline: tile planning, annotation remapping, splits, label and
 image IO, and the end-to-end tiling command."""
+import re
 import struct
 import zlib
 
@@ -175,6 +176,36 @@ class TestLabels:
             assert a.class_id == b.class_id
             for f in ("cx", "cy", "w", "h"):
                 assert getattr(a, f) == pytest.approx(getattr(b, f), abs=5e-7)
+
+
+class TestKeyValueConfig:
+    """GraphSpec.from_file and TrainConfig.from_file share one reader and
+    report every malformed line with the file and line number."""
+
+    @pytest.fixture(params=["graph", "train"])
+    def reader(self, request):
+        from fabme.graph import GraphSpec
+        from fabme.train import TrainConfig
+        return {"graph": (GraphSpec.from_file, "graph config"),
+                "train": (TrainConfig.from_file, "train config")}[request.param]
+
+    @pytest.mark.parametrize("text, error", [
+        ("# comment\n\nseed=3\nseed 4\n", r":4: expected key=value, got 'seed 4'"),
+        ("seed=1\nbogus=2\n", r":2: unknown {kind} key 'bogus'"),
+        ("\n  seed = x\n", r":2: seed: invalid literal for int"),
+    ])
+    def test_errors_name_the_line(self, reader, tmp_path, text, error):
+        from_file, kind = reader
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + error.format(kind=kind)):
+            from_file(path)
+
+    def test_blank_lines_comments_and_spaces(self, reader, tmp_path):
+        from_file, _ = reader
+        path = tmp_path / "c.cfg"
+        path.write_text("# seed=9\n\n  seed = 7  \n")
+        assert from_file(path).seed == 7
 
 
 class TestImageIO:

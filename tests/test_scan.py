@@ -101,6 +101,21 @@ class TestSelectiveScan:
         with pytest.raises(ValueError, match="step size"):
             selective_scan(x, dt, A, B, C, D)
 
+    @pytest.mark.parametrize("dtype, pre, ok", [
+        (np.float32, -110.0, False), (np.float64, -800.0, False),
+        (np.float32, -100.0, True), (np.float64, -700.0, True),  # dt still subnormal, > 0
+    ])
+    def test_dt_underflow_names_its_source(self, dtype, pre, ok, rng):
+        p = ScanParams.create(4, d_state=2, rng=rng, dtype=dtype)
+        p.w_dt_up.data[:] = 0.0  # the pre-activation is dt_bias alone
+        p.dt_bias.data[:] = pre
+        seq = Tensor(rng.standard_normal((1, 3, 4)).astype(dtype))
+        if ok:
+            assert np.all(np.isfinite(selective_scan_1d(seq, p).data))
+            return
+        with pytest.raises(ValueError, match=r"underflowed to dt = 0.*pre-activation.*dt_bias"):
+            selective_scan_1d(seq, p)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_raw_scan_gradcheck(self, seed):
         rng = np.random.default_rng(seed)

@@ -4,12 +4,27 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fabme import tensor as T
 from fabme.tensor import ConvSpec, ShapeError, Tensor
 
-from oracles import conv2d_direct, expit_masked
+from oracles import (
+    channel_norm_4d, conv2d_direct, expit_masked, maxpool2d_masked, silu_masked,
+)
+
+
+def _run(op, arrays, g):
+    """op's forward value and the gradients of its inputs for upstream g."""
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*ts)
+    out.backward(g)
+    return [out.data] + [t.grad for t in ts]
+
+
+def _same_bits(got, want):
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want, strict=True))
 
 
 class TestConv2d:
@@ -135,6 +150,71 @@ class TestPooling:
     def test_sppf_style_pool_preserves_shape(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 8, 8)))
         assert T.maxpool2d(x, 5, 1, 2).data.shape == (1, 2, 8, 8)
+
+
+class TestMaskedOracles:
+    """The forward value and every gradient of silu, channel_norm and
+    maxpool2d are bit for bit those of their masked forms in oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 4), st.integers(1, 2),
+           st.booleans(), st.integers(1, 7), st.integers(1, 7), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_maxpool2d(self, dtype, k, s, pad, h, w, ties, seed):
+        p = k // 2 if pad else 0
+        assume(h + 2 * p >= k and w + 2 * p >= k)
+        rng = np.random.default_rng(seed)
+        if ties:  # few levels, so most windows tie; half the zeros are -0
+            x = rng.integers(-2, 3, size=(2, 3, h, w)).astype(dtype)
+            x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+        else:
+            x = rng.standard_normal((2, 3, h, w)).astype(dtype)
+        g = rng.standard_normal((2, 3, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)).astype(dtype)
+        want = maxpool2d_masked(x, k, s, p, g)
+        assert _same_bits(_run(lambda a: T.maxpool2d(a, k, s, p), [x], g), want)
+
+    def test_maxpool2d_signed_zero_tie_keeps_first(self):
+        x = np.array([-0.0, 0.0, 0.0, -0.0]).reshape(1, 1, 2, 2)
+        for arr in (x, -x):
+            out, gx = _run(lambda a: T.maxpool2d(a, 2), [arr], np.ones((1, 1, 1, 1)))
+            assert np.signbit(out.item()) == np.signbit(arr[0, 0, 0, 0])
+            assert np.array_equal(gx.reshape(-1), [1.0, 0.0, 0.0, 0.0])
+
+    def test_maxpool2d_nan_propagates(self):
+        # the masked form's strict > skips a NaN after the first offset; the
+        # maximum chain makes the window NaN wherever the NaN is, and routes
+        # its gradient nowhere
+        for flat, masked in (([np.nan, 1.0, 3.0, 2.0], np.nan), ([1.0, np.nan, 3.0, 2.0], 3.0)):
+            x = np.array(flat).reshape(1, 1, 2, 2)
+            out, gx = _run(lambda a: T.maxpool2d(a, 2), [x], np.ones((1, 1, 1, 1)))
+            assert np.isnan(out.item())
+            assert np.array_equal(gx, np.zeros_like(x))
+            assert np.array_equal(maxpool2d_masked(x, 2, 1, 0, 1.0)[0].reshape(-1), [masked],
+                                  equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 2), st.integers(1, 4),
+           st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_channel_norm(self, dtype, n, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((n, c, h, w)) * 3 + rng.standard_normal((1, c, 1, 1))).astype(dtype)
+        gain, bias = rng.standard_normal((2, c)).astype(dtype)
+        g = rng.standard_normal((n, c, h, w)).astype(dtype)
+        got = _run(T.channel_norm, [x, gain, bias], g)
+        assert _same_bits(got, channel_norm_4d(x, gain, bias, g))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.floats(0.1, 100.0),
+           st.integers(0, 2**32 - 1))
+    def test_silu(self, dtype, scale, seed):
+        rng = np.random.default_rng(seed)
+        fi = np.finfo(dtype)
+        edges = [0.0, -0.0, 800.0, -800.0, fi.smallest_subnormal, -fi.smallest_subnormal]
+        x = np.concatenate([np.array(edges, dtype), (rng.standard_normal(200) * scale).astype(dtype)])
+        g = rng.standard_normal(x.shape).astype(dtype)
+        with np.errstate(over="ignore"):
+            got, want = _run(T.silu, [x], g), silu_masked(x, g)
+        assert _same_bits(got, want)
 
 
 class TestElementwise:
@@ -266,6 +346,15 @@ class TestSnapshot:
         want = (b"FABT" + struct.pack("<I", 2) + struct.pack("<II", 1, 2)
                 + struct.pack("<2d", 1.0, 2.0))
         assert buf.getvalue() == want
+
+    @pytest.mark.parametrize("scalar", [np.float64(2.5), np.array(-0.0)])
+    def test_zero_d_roundtrip(self, scalar):
+        buf = io.BytesIO()
+        T.write_snapshot(buf, scalar)
+        assert buf.getvalue() == b"FABT" + struct.pack("<I", 0) + struct.pack("<d", scalar)
+        buf.seek(0)
+        got = T.read_snapshot(buf)
+        assert got.shape == () and got.tobytes() == np.float64(scalar).tobytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):

@@ -5,7 +5,8 @@ import pytest
 
 from fabme import data as D
 from fabme import train as TR
-from fabme.graph import build_graph, variant_spec
+from fabme.graph import build_graph, decode, variant_spec
+from fabme.metrics import Detection
 from fabme.tensor import Tensor
 from fabme.train import TrainConfig, lr_at, sgd_step
 
@@ -87,7 +88,7 @@ class TestSchedule:
         assert cfg.lr == 0.01 and cfg.max_epochs == 5 and cfg.patience == 2
         p2 = tmp_path / "bad.cfg"
         p2.write_text("nope=3\n")
-        with pytest.raises(ValueError, match="unknown key"):
+        with pytest.raises(ValueError, match="bad.cfg:1: unknown train config key 'nope'"):
             TrainConfig.from_file(p2)
 
 
@@ -175,6 +176,19 @@ class TestTrainLoop:
         cfg = TrainConfig(max_epochs=3, batch_size=4, seed=0, stop_map=-1.0)
         res = TR.train(model, tr, va, cfg)
         assert res.stop_reason == "target_map" and res.stopped_epoch == 0
+
+    def test_eval_detections_are_decodes_with_image_ids(self):
+        model, _, va = self._tiny()
+        cfg = TrainConfig(batch_size=3, eval_conf=0.0)
+        dets, gts = TR.eval_detections(model, va, cfg)
+        want = []
+        for lo in range(0, len(va), cfg.batch_size):
+            chunk = va[lo:lo + cfg.batch_size]
+            outs = model(Tensor(np.stack([it[0] for it in chunk])))
+            for (_, _, iid), image_dets in zip(chunk, decode(outs, 2, model.strides, 0.0, cfg.eval_iou)):
+                want += [Detection(d.class_id, d.box, d.confidence, image_id=iid) for d in image_dets]
+        assert want and dets == want
+        assert {g.image_id for g in gts} <= {it[2] for it in va}
 
     def test_empty_dataset_rejected(self):
         model, tr, va = self._tiny()
