@@ -294,7 +294,8 @@ def read_ppm(path) -> np.ndarray:
 
 def read_png(path) -> np.ndarray:
     """Minimal PNG reader: 8-bit gray/gray+alpha/RGB/RGBA, no interlace.
-    Returns (H, W, 3) uint8; a malformed file raises ValueError."""
+    Returns (H, W, 3) uint8; a malformed file, or any chunk whose CRC does
+    not match, raises ValueError."""
     blob = memoryview(Path(path).read_bytes())
     if blob[:8] != b"\x89PNG\r\n\x1a\n":
         raise ValueError(f"{path}: not a PNG file")
@@ -307,6 +308,8 @@ def read_png(path) -> np.ndarray:
         pos += 12 + length
         if pos > len(blob):
             raise ValueError(f"{path}: truncated {ctype!r} chunk")
+        if zlib.crc32(body, zlib.crc32(ctype)) != struct.unpack_from(">I", blob, pos - 4)[0]:
+            raise ValueError(f"{path}: CRC mismatch in {ctype!r} chunk")
         if ctype == b"IHDR":
             if ihdr is not None or len(body) != 13:
                 raise ValueError(f"{path}: bad IHDR chunk")

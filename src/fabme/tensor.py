@@ -4,6 +4,13 @@ Values are numpy arrays (float64 by default, float32 opt-in for speed);
 each operation records a closure that pushes gradients back to its
 inputs.  Graphs are static per forward pass and single-threaded; tensors
 are never mutated once produced, so read-only sharing is safe.
+
+`Tensor.backward` frees the graph as it goes: once a non-leaf node has
+pushed its gradient to its parents, its `.grad`, closure and parent links
+are dropped, so a step holds only what the rest of the sweep still needs.
+Leaves (parameters and inputs) keep `.grad`.  A second `backward()`
+through an already-swept node raises RuntimeError, as PyTorch does without
+`retain_graph`.
 """
 from __future__ import annotations
 
@@ -68,7 +75,10 @@ def finite_checks():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # _grad_buf: the grad buffer _acc allocated for this non-leaf node, the
+    # only one it may add into in place (a passed-through gradient can be
+    # another node's buffer, and a leaf's .grad belongs to the user)
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_buf")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None:
@@ -76,11 +86,12 @@ class Tensor:
                 dtype = data.dtype
             else:
                 dtype = np.float64
-        self.data = np.ascontiguousarray(data, dtype=dtype)
+        self.data = np.asarray(data, dtype=dtype, order="C")  # 0-d stays 0-d
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward: Callable | None = None
+        self._grad_buf = None
 
     @property
     def shape(self):
@@ -108,7 +119,8 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed: np.ndarray | None = None):
-        """Reverse-mode sweep from this node (gradient seed defaults to ones)."""
+        """Reverse-mode sweep from this node (gradient seed defaults to ones)
+        that frees the graph as it goes; see the module docstring."""
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
         topo: list[Tensor] = []
@@ -129,9 +141,12 @@ class Tensor:
         if seed is None:
             seed = np.ones_like(self.data)
         self.grad = np.asarray(seed, dtype=self.data.dtype)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = node._grad_buf = None
+                node._backward, node._parents = _spent, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -177,6 +192,10 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _spent(g):
+    raise RuntimeError("backward() through a graph that an earlier backward() has freed")
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable | None, op: str) -> Tensor:
     if _finite_checks and not np.all(np.isfinite(data)):
         raise NonFiniteError(op)
@@ -187,12 +206,21 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable | None
     t.requires_grad = track
     t._parents = tuple(parents) if track else ()
     t._backward = backward if track else None
+    t._grad_buf = None
     return t
 
 
 def _acc(t: Tensor, g: np.ndarray):
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g
+    elif t.grad is t._grad_buf and g.shape == t.grad.shape and g.dtype == t.grad.dtype:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
+        if t._backward is not None:
+            t._grad_buf = t.grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -313,7 +341,14 @@ def silu(a: Tensor) -> Tensor:
     out = a.data * s
 
     def backward(g):
-        _acc(a, g * s * (1.0 + a.data * (1.0 - s)))
+        # g * s * (1 + a * (1 - s)) in two buffers; a product or sum of two
+        # operands is the same in either order
+        d = 1.0 - s
+        d *= a.data
+        d += 1.0
+        gs = g * s
+        gs *= d
+        _acc(a, gs)
 
     return _node(out, (a,), backward, "silu")
 
@@ -489,6 +524,11 @@ class ConvSpec:
             raise ShapeError(f"ConvSpec: stride {self.stride} must be >= 1")
 
 
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    """x zero-padded by p on both spatial sides (x itself when p is 0)."""
+    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, oh: int, ow: int) -> np.ndarray:
     n, c = xp.shape[:2]
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
@@ -558,12 +598,16 @@ def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None, oc: int) -> Tensor:
 
 
 def _conv_im2col(x, weight, bias, kh, kw, s, p, oh, ow):
-    n, c = x.data.shape[:2]
+    # the closure keeps neither the padded input nor its kh*kw-fold cols
+    # buffer: backward rebuilds both from x.data
+    n, c, h, w = x.data.shape
     oc = weight.data.shape[0]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    # xp lives until return on purpose: freed before the matmul, it left
+    # the s-scale 640 px forward's peak RSS 8 MB higher (where the
+    # allocator then placed the output)
+    xp = _pad(x.data, p)
     cols = _im2col(xp, kh, kw, s, oh, ow)
-    w2 = weight.data.reshape(oc, -1)
-    out = np.matmul(w2, cols)
+    out = np.matmul(weight.data.reshape(oc, -1), cols)
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(n, oc, oh, ow)
@@ -571,10 +615,12 @@ def _conv_im2col(x, weight, bias, kh, kw, s, p, oh, ow):
 
     def backward(g):
         gf = g.reshape(n, oc, oh * ow)
+        cols = _im2col(_pad(x.data, p), kh, kw, s, oh, ow)
         _acc(weight, np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape))
-        gcols = np.matmul(w2.T, gf)
-        gxp = _col2im(gcols, xp.shape, kh, kw, s, oh, ow)
-        _acc(x, gxp[:, :, p:p + x.data.shape[2], p:p + x.data.shape[3]] if p else gxp)
+        del cols  # before gcols, of the same size, is allocated
+        gcols = np.matmul(weight.data.reshape(oc, -1).T, gf)
+        gxp = _col2im(gcols, (n, c, h + 2 * p, w + 2 * p), kh, kw, s, oh, ow)
+        _acc(x, gxp[:, :, p:p + h, p:p + w] if p else gxp)
         if bias is not None:
             _acc(bias, gf.sum(axis=(0, 2)))
 
@@ -583,7 +629,7 @@ def _conv_im2col(x, weight, bias, kh, kw, s, p, oh, ow):
 
 def _conv_depthwise(x, weight, bias, kh, kw, s, p, oh, ow):
     n, c, h, w = x.data.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    xp = _pad(x.data, p)
     out = np.zeros((n, c, oh, ow), dtype=x.data.dtype)
     for u in range(kh):
         for v in range(kw):
@@ -593,6 +639,7 @@ def _conv_depthwise(x, weight, bias, kh, kw, s, p, oh, ow):
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
+        xp = _pad(x.data, p)  # rebuilt rather than kept on the tape
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(weight.data)
         for u in range(kh):
@@ -758,11 +805,18 @@ def channel_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     inv = inv.reshape(n, c, 1, 1)
 
     def backward(g):
+        # inv * (gy - mean(gy) - xhat * mean(gy * xhat)) in two buffers
         gy = g * gain.data[None, :, None, None]
         gmean = gy.mean(axis=(2, 3), keepdims=True)
-        gdot = (gy * xhat).mean(axis=(2, 3), keepdims=True)
-        _acc(x, inv * (gy - gmean - xhat * gdot))
-        _acc(gain, (g * xhat).sum(axis=(0, 2, 3)))
+        t = np.multiply(gy, xhat)
+        gdot = t.mean(axis=(2, 3), keepdims=True)
+        gy -= gmean
+        np.multiply(xhat, gdot, out=t)
+        gy -= t
+        gy *= inv
+        _acc(x, gy)
+        np.multiply(g, xhat, out=t)
+        _acc(gain, t.sum(axis=(0, 2, 3)))
         _acc(bias, g.sum(axis=(0, 2, 3)))
 
     return _node(out, (x, gain, bias), backward, "channel_norm")

@@ -194,7 +194,7 @@ def detection_loss(outputs, targets, strides, num_classes: int, cfg: TrainConfig
 
 @dataclass
 class TrainResult:
-    history: list  # rows of (epoch, lr, train_loss, val_map50)
+    history: list  # rows of (epoch, lr, train_loss, val_map50, obj, cls, box)
     best_map: float
     best_epoch: int
     best_state: dict
@@ -205,9 +205,9 @@ class TrainResult:
 def write_history_csv(path, history):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["epoch", "lr", "train_loss", "val_map50"])
+        w.writerow(["epoch", "lr", "train_loss", "val_map50", "obj_loss", "cls_loss", "box_loss"])
         for row in history:
-            w.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", f"{row[3]:.6f}"])
+            w.writerow([row[0]] + [f"{v:.6f}" for v in row[1:]])
 
 
 def load_items(samples: list[Sample]):
@@ -276,13 +276,14 @@ def train(model: FabMEModel, train_items, val_items, cfg: TrainConfig,
         order = rng.permutation(len(train_items))
         steps = max(1, len(order) // cfg.batch_size)
         epoch_loss = 0.0
+        epoch_parts = dict.fromkeys(("obj", "cls", "box"), 0.0)
         for step in range(steps):
             idx = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             batch = [train_items[i] for i in idx]
             x = Tensor(np.stack([b[0] for b in batch]).astype(dtype))
             targets = build_targets([b[1] for b in batch], img_size, model.strides, nc, dtype)
             outs = model(x)
-            loss, _ = detection_loss(outs, targets, model.strides, nc, cfg)
+            loss, parts = detection_loss(outs, targets, model.strides, nc, cfg)
             lv = loss.item()
             if not np.isfinite(lv):
                 raise TrainDivergedError(history, _snapshot(model))
@@ -290,9 +291,12 @@ def train(model: FabMEModel, train_items, val_items, cfg: TrainConfig,
             loss.backward()
             sgd_step(named, state, cfg, epoch + step / steps)
             epoch_loss += lv
+            for k in epoch_parts:
+                epoch_parts[k] += parts[k]
         epoch_loss /= steps
         val = evaluate_map(model, val_items, cfg)
-        history.append((epoch, lr_at(cfg, min(epoch + 1.0, cfg.warmup_epochs + 1)), epoch_loss, val))
+        history.append((epoch, lr_at(cfg, min(epoch + 1.0, cfg.warmup_epochs + 1)), epoch_loss, val,
+                        *(v / steps for v in epoch_parts.values())))
         if progress is not None:
             progress(epoch, epoch_loss, val)
         if val > best_map:

@@ -2,7 +2,8 @@
 detection evaluator (no shared code with fabme.metrics), a direct
 triple-loop convolution, the masked-scatter sigmoid, the masked forms of
 SiLU, channel normalisation and max pooling (forward value and input
-gradient), and the per-candidate decode with its Python greedy NMS."""
+gradient), the per-candidate decode with its Python greedy NMS, and the
+backward sweep that keeps the whole tape until it ends."""
 from __future__ import annotations
 
 import numpy as np
@@ -234,3 +235,24 @@ def decode_loop(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
                 break
         results.append(dets)
     return results
+
+
+def backward_retaining(root, seed=None):
+    """Tensor.backward as it was before the tape freed itself as it went:
+    the same depth-first topological order, every closure run in reverse,
+    and every node's grad, closure and parents kept to the end."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in visited)
+    root.grad = np.asarray(np.ones_like(root.data) if seed is None else seed, dtype=root.data.dtype)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)

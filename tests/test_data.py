@@ -308,6 +308,18 @@ def _png_wrap(raw, w, h, color_type, idat_size=None):
     return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + idat + chunk(b"IEND", b"")
 
 
+def _with_crcs(png):
+    """png with every chunk's CRC recomputed, so an edit inside a chunk
+    reaches the checks behind the CRC check."""
+    out, pos = bytearray(png), 8
+    while pos + 12 <= len(out):
+        (length,) = struct.unpack_from(">I", out, pos)
+        end = pos + 8 + length
+        struct.pack_into(">I", out, end, zlib.crc32(out[pos + 4:end]))
+        pos = end + 4
+    return bytes(out)
+
+
 def _make_png(img, color_type, idat_size=None):
     h, w = img.shape[:2]
     raw = b"".join(b"\x00" + img[y].tobytes() for y in range(h))
@@ -416,6 +428,8 @@ class TestHostileImages:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_png_truncated_or_flipped(self, data):
+        # every chunk is covered by its CRC, so no truncation or single-byte
+        # flip decodes
         import tempfile
         from pathlib import Path
         png, _ = self._png()
@@ -427,11 +441,17 @@ class TestHostileImages:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "h.png"
             path.write_bytes(png)
-            try:
-                img = D.read_png(path)
-            except ValueError:
-                return
-        assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+            with pytest.raises(ValueError):
+                D.read_png(path)
+
+    def test_png_crc_mismatch(self, tmp_path):
+        png, img = self._png()
+        path = tmp_path / "c.png"
+        path.write_bytes(png)
+        assert np.array_equal(D.read_png(path), img)
+        path.write_bytes(png[:-1] + bytes([png[-1] ^ 1]))  # the IEND CRC
+        with pytest.raises(ValueError, match="CRC mismatch in b'IEND'"):
+            D.read_png(path)
 
     @staticmethod
     def _peak(fn, *args):
@@ -459,11 +479,11 @@ class TestHostileImages:
         assert "size mismatch" in msg and peak < 1_000_000
 
     @pytest.mark.parametrize("edit,match", [
-        (lambda p: p[:12] + b"IHDX" + p[16:], "IDAT before IHDR"),
+        (lambda p: _with_crcs(p[:12] + b"IHDX" + p[16:]), "IDAT before IHDR"),
         (lambda p: p[:8] + p[-12:], "no IHDR"),  # IEND alone
-        (lambda p: p[:8] + struct.pack(">I", 12) + p[12:], "IHDR"),
+        (lambda p: _with_crcs(p[:8] + struct.pack(">I", 12) + p[12:28] + p[29:]), "IHDR"),  # 12-byte IHDR
         (lambda p: p[:-20], "truncated"),
-        (lambda p: p[:16] + struct.pack(">I", 0) + p[20:], "size 0x4"),
+        (lambda p: _with_crcs(p[:16] + struct.pack(">I", 0) + p[20:]), "size 0x4"),
     ])
     def test_png_bad_structure(self, tmp_path, edit, match):
         png, _ = self._png()

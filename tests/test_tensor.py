@@ -216,6 +216,115 @@ class TestMaskedOracles:
             got, want = _run(T.silu, [x], g), silu_masked(x, g)
         assert _same_bits(got, want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([(), (5,), (2, 3, 4)]), st.integers(0, 2**32 - 1))
+    def test_silu_backward_closure(self, dtype, gdtype, shape, seed):
+        # the closure on its own, so g may be wider than x, as a float32
+        # model's loss gradient can be
+        rng = np.random.default_rng(seed)
+        x = np.asarray(rng.standard_normal(shape) * 10, dtype)
+        g = np.asarray(rng.standard_normal(shape), gdtype)
+        t = Tensor(x, requires_grad=True)
+        T.silu(t)._backward(g)
+        want = silu_masked(x, g)[1]
+        assert np.shape(t.grad) == shape and t.grad.dtype == want.dtype
+        assert t.grad.tobytes() == want.tobytes()
+
+
+class TestBackwardSweep:
+    """backward() frees each non-leaf node once it has run, accumulates
+    fan-in in place only into buffers it allocated, and refuses a graph it
+    has already freed."""
+
+    def test_second_backward_raises(self, rng):
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        y = T.tsum(T.mul(x, x))
+        y.backward()
+        want = x.grad.copy()
+        with pytest.raises(RuntimeError, match="freed"):
+            y.backward()
+        h = T.mul(x, 3.0)
+        T.tsum(h).backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            T.tsum(T.mul(h, h)).backward()  # a new root over a freed node
+        assert np.array_equal(want, 2.0 * x.data)
+
+    def test_leaf_backward(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        for _ in range(2):
+            x.backward()
+            assert np.array_equal(x.grad, np.ones(3))
+        x.backward(np.full(3, 2.0))
+        assert np.array_equal(x.grad, np.full(3, 2.0))
+
+    def test_swept_nodes_drop_grad_closure_and_parents(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        h = T.silu(x)
+        y = T.tsum(h)
+        y.backward()
+        for node in (h, y):
+            assert node.grad is None and node._parents == ()
+        assert x.grad is not None and x._backward is None
+        assert h.data.shape == (2, 3)  # values stay readable
+
+    def test_fan_in_never_writes_through_an_alias(self):
+        # add passes its gradient through to both parents, so h's first grad
+        # is the root's seed array itself and k's grad is that same array;
+        # only the sum buffer h later owns may be added into in place
+        x = Tensor(np.ones(3), requires_grad=True)
+        k = Tensor(np.ones(3), requires_grad=True)
+        h = T.mul(x, 1.0)
+        y = T.add(T.add(T.add(T.add(h, k), h), h), h)
+        seed = np.full(3, 2.0)
+        y.backward(seed)
+        assert np.array_equal(seed, np.full(3, 2.0))
+        assert np.array_equal(k.grad, np.full(3, 2.0))
+        assert np.array_equal(x.grad, np.full(3, 8.0))
+
+    def test_leaf_grad_is_never_written_in_place(self):
+        # a leaf's .grad may be the user's array, or one the user kept
+        # from an earlier backward
+        x = Tensor(np.ones(3), requires_grad=True)
+        mine = np.full(3, 5.0)
+        x.grad = mine
+        T.tsum(T.add(T.add(x, x), x)).backward()
+        first = x.grad
+        T.tsum(T.add(x, x)).backward()
+        assert np.array_equal(mine, np.full(3, 5.0))
+        assert np.array_equal(first, np.full(3, 8.0))
+        assert np.array_equal(x.grad, np.full(3, 10.0))
+
+
+class TestZeroD:
+    def test_scalar_input_stays_0d(self):
+        assert Tensor(2.5).shape == ()
+        assert Tensor(np.array(2.5, np.float32)).shape == ()
+        assert Tensor(np.float64(2.5)).shape == ()
+        assert Tensor(2.5).shape == T.tsum(Tensor(np.ones(3))).shape
+        assert T.mul(Tensor(3.0), 2.0).shape == ()
+        assert Tensor([1.0, 2.0]).shape == (2,)
+
+    def test_non_contiguous_input_is_copied_to_c_order(self):
+        a = np.arange(12.0).reshape(3, 4).T
+        t = Tensor(a)
+        assert t.data.flags.c_contiguous and np.array_equal(t.data, a)
+
+    def test_unbroadcast_to_0d(self, rng):
+        g = rng.standard_normal((3, 4, 5))
+        got = T._unbroadcast(g, ())
+        assert np.shape(got) == () and got == g.sum(axis=0).sum(axis=0).sum(axis=0)
+
+    def test_0d_operand_gradient(self, rng):
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(0.5, requires_grad=True)
+        T.tsum(T.mul(T.add(a, b), b)).backward()
+        assert np.shape(b.grad) == ()
+        assert np.isclose(b.grad, (a.data + 0.5).sum() + 0.5 * a.data.size)
+        rep = T.grad_check(lambda u, v: T.tsum(T.mul(T.add(u, v), v)),
+                           [Tensor(a.data.copy()), Tensor(0.5)])
+        assert rep.passed, str(rep)
+
 
 class TestElementwise:
     def test_sigmoid_symmetry_point(self):

@@ -10,6 +10,8 @@ from fabme.metrics import Detection
 from fabme.tensor import Tensor
 from fabme.train import TrainConfig, lr_at, sgd_step
 
+from oracles import backward_retaining
+
 
 class TestSGD:
     def test_vanilla_step(self):
@@ -146,6 +148,48 @@ class TestTargets:
         assert tg[0]["obj"].sum() == 0.0 and tg[1]["obj"].sum() == 1.0
 
 
+class TestTapeSweep:
+    """One nano-test training step: 16 images at 64 px, float64."""
+
+    @staticmethod
+    def _inputs():
+        model = build_graph(variant_spec("fabme", "nano-test", num_classes=4, input_size=64, seed=0))
+        items = TR.items_from_scenes(TR.gen_synth_dataset(16, 4, seed=1))
+        x = Tensor(np.stack([b[0] for b in items]))
+        return model, x, TR.build_targets([b[1] for b in items], 64, model.strides, 4, np.float64)
+
+    @staticmethod
+    def _step(sweep, model, x, targets):
+        """The step's loss; the parameters' grads are left in the model."""
+        loss, _ = TR.detection_loss(model(x), targets, model.strides, 4, TrainConfig())
+        sweep(loss)
+        return loss
+
+    def test_bitwise_equal_to_the_retaining_sweep(self):
+        want, got = self._inputs(), self._inputs()
+        want_loss = self._step(backward_retaining, *want)
+        got_loss = self._step(Tensor.backward, *got)
+        assert got_loss.data.tobytes() == want_loss.data.tobytes()
+        pairs = list(zip(got[0].named_parameters(), want[0].named_parameters(), strict=True))
+        assert len(pairs) > 100
+        for (name, p), (_, q) in pairs:
+            assert p.grad.dtype == q.grad.dtype and p.grad.tobytes() == q.grad.tobytes(), name
+
+    def test_tape_peak(self):
+        # the sweep frees each node once it has run, and the conv closures
+        # keep no im2col buffer: 56 MB, against 128 MB when the whole tape
+        # lived until the sweep ended
+        import tracemalloc
+        inputs = self._inputs()
+        tracemalloc.start()
+        try:
+            self._step(Tensor.backward, *inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70e6, f"tape peak {peak / 1e6:.1f} MB"
+
+
 class TestTrainLoop:
     def _tiny(self, n_items=12, size=32, seed=0):
         scenes = TR.gen_synth_dataset(n_items, 2, seed=seed, width=size, height=size)
@@ -202,5 +246,25 @@ class TestTrainLoop:
         path = tmp_path / "h.csv"
         TR.write_history_csv(path, res.history)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,lr,train_loss,val_map50"
-        assert len(lines) == 2
+        assert lines[0] == "epoch,lr,train_loss,val_map50,obj_loss,cls_loss,box_loss"
+        assert len(lines) == 2 and len(lines[1].split(",")) == 7
+
+    def test_history_loss_parts_are_epoch_means(self):
+        model, tr, va = self._tiny()
+        cfg = TrainConfig(max_epochs=1, batch_size=4, seed=3)
+        row = TR.train(model, tr, va, cfg).history[0]
+        # replay the epoch on a fresh model: same seed, order and steps
+        model, tr, _ = self._tiny()
+        order = np.random.default_rng(cfg.seed).permutation(len(tr))
+        steps = len(tr) // cfg.batch_size
+        named, state, sums = list(model.named_parameters()), {}, np.zeros(3)
+        for step in range(steps):
+            batch = [tr[i] for i in order[step * cfg.batch_size:(step + 1) * cfg.batch_size]]
+            targets = TR.build_targets([b[1] for b in batch], 32, model.strides, 2, np.float64)
+            loss, parts = TR.detection_loss(model(Tensor(np.stack([b[0] for b in batch]))),
+                                            targets, model.strides, 2, cfg)
+            sums += [parts["obj"], parts["cls"], parts["box"]]
+            model.zero_grad()
+            loss.backward()
+            sgd_step(named, state, cfg, step / steps)
+        assert len(row) == 7 and list(row[4:]) == list(sums / steps)
