@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fabme import scan as S
 from fabme import tensor as T
 from fabme.scan import ScanParams, ss2d
 from fabme.tensor import Tensor
@@ -29,6 +30,7 @@ class BenchRow:
     d_state: int
     mean_ns: float
     p95_ns: float
+    state_bytes: int = 0  # ss2d only: see _scan_state_bytes
 
 
 def time_fn(fn, repeats: int = 5, warmup: int = 2) -> tuple[float, float]:
@@ -52,6 +54,27 @@ def _square_map(L: int, d_model: int, rng) -> Tensor:
     return Tensor(rng.standard_normal((1, d_model, side, side)).astype(np.float32))
 
 
+def _scan_state_bytes(x: Tensor, p: ScanParams) -> int:
+    """Bytes of the (n, L, d, N) scan states that one ss2d(x, p) call
+    builds, n*L*d*N*itemsize summed over its four directions, read off the
+    arguments of each selective_scan call."""
+    seen = []
+    inner = S.selective_scan
+
+    def counting(seq, dt, A, *rest):
+        n, L, d = seq.data.shape
+        seen.append(n * L * d * A.data.shape[1] * seq.data.itemsize)
+        return inner(seq, dt, A, *rest)
+
+    S.selective_scan = counting
+    try:
+        with T.no_grad():
+            ss2d(x, p)
+    finally:
+        S.selective_scan = inner
+    return sum(seen)
+
+
 def bench_ss2d(L: int, d_model: int = 32, d_state: int = 8,
                repeats: int = 5, seed: int = 0) -> BenchRow:
     rng = np.random.default_rng(seed)
@@ -63,7 +86,7 @@ def bench_ss2d(L: int, d_model: int = 32, d_state: int = 8,
             ss2d(x, p)
 
     mean_ns, p95_ns = time_fn(fn, repeats)
-    return BenchRow("ss2d", L, d_model, d_state, mean_ns, p95_ns)
+    return BenchRow("ss2d", L, d_model, d_state, mean_ns, p95_ns, _scan_state_bytes(x, p))
 
 
 def naive_attention(x: np.ndarray) -> np.ndarray:

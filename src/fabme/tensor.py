@@ -185,11 +185,14 @@ class Tensor:
         return reshape(self, shape)
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else np.float64
-    return Tensor(np.asarray(x, dtype=dtype))
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as Tensors; a scalar or array operand
+    takes the dtype of the Tensor one (float64 if neither is a Tensor)."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype if isinstance(b, Tensor) else np.float64))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, b
 
 
 def _spent(g):
@@ -237,52 +240,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    out = a.data + b.data
-
+def _binary(a: Tensor, b: Tensor, out: np.ndarray, grad_a: Callable, grad_b: Callable,
+            op: str) -> Tensor:
+    """A broadcasting binary op's node; grad_a(g) and grad_b(g) run only for
+    an operand that requires grad."""
     def backward(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _acc(a, _unbroadcast(grad_a(g), a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(grad_b(g), b.data.shape))
 
-    return _node(out, (a, b), backward, "add")
+    return _node(out, (a, b), backward, op)
+
+
+def add(a, b) -> Tensor:
+    a, b = _operands(a, b)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g, "add")
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    out = a.data - b.data
-
-    def backward(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(out, (a, b), backward, "sub")
+    a, b = _operands(a, b)
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g, "sub")
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    out = a.data * b.data
-
-    def backward(g):
-        _acc(a, _unbroadcast(g * b.data, a.data.shape))
-        _acc(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(out, (a, b), backward, "mul")
+    a, b = _operands(a, b)
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data, "mul")
 
 
 def div(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    out = a.data / b.data
-
-    def backward(g):
-        _acc(a, _unbroadcast(g / b.data, a.data.shape))
-        _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(out, (a, b), backward, "div")
+    a, b = _operands(a, b)
+    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data), "div")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -364,30 +353,18 @@ def softplus(a: Tensor) -> Tensor:
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; on ties the gradient routes to the first operand."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+    a, b = _operands(a, b)
     take_a = a.data <= b.data
-    out = np.where(take_a, a.data, b.data)
-
-    def backward(g):
-        _acc(a, _unbroadcast(np.where(take_a, g, 0.0), a.data.shape))
-        _acc(b, _unbroadcast(np.where(take_a, 0.0, g), b.data.shape))
-
-    return _node(out, (a, b), backward, "minimum")
+    return _binary(a, b, np.where(take_a, a.data, b.data), lambda g: np.where(take_a, g, 0.0),
+                   lambda g: np.where(take_a, 0.0, g), "minimum")
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the gradient routes to the first operand."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+    a, b = _operands(a, b)
     take_a = a.data >= b.data
-    out = np.where(take_a, a.data, b.data)
-
-    def backward(g):
-        _acc(a, _unbroadcast(np.where(take_a, g, 0.0), a.data.shape))
-        _acc(b, _unbroadcast(np.where(take_a, 0.0, g), b.data.shape))
-
-    return _node(out, (a, b), backward, "maximum")
+    return _binary(a, b, np.where(take_a, a.data, b.data), lambda g: np.where(take_a, g, 0.0),
+                   lambda g: np.where(take_a, 0.0, g), "maximum")
 
 
 # ---------------------------------------------------------------------------
@@ -526,26 +503,53 @@ class ConvSpec:
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
     """x zero-padded by p on both spatial sides (x itself when p is 0)."""
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    if not p:
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x
+    return xp
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, oh: int, ow: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, :, u, v] = xp[:, :, u:u + s * oh:s, v:v + s * ow:s]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+# Images run b at a time along the columns of one GEMM each: merging them
+# pays on small maps, but one GEMM wider than about 256 columns runs slower
+# per column than several narrower ones.
+_GEMM_COLS = 256
 
 
-def _col2im(gcols: np.ndarray, xp_shape, kh: int, kw: int, s: int, oh: int, ow: int) -> np.ndarray:
-    n, c = xp_shape[:2]
-    gxp = np.zeros(xp_shape, dtype=gcols.dtype)
-    gr = gcols.reshape(n, c, kh, kw, oh, ow)
-    for u in range(kh):
-        for v in range(kw):
-            gxp[:, :, u:u + s * oh:s, v:v + s * ow:s] += gr[:, :, u, v]
-    return gxp
+def _cols(x: np.ndarray, kh: int, kw: int, s: int, p: int, oh: int, ow: int,
+          merge: bool = True) -> np.ndarray:
+    """The patch matrices of x, (n/b, c*kh*kw, b*oh*ow), where b divides n
+    and is at most _GEMM_COLS // (oh*ow) when that is >= 1 (b = 1 unless
+    merge).  Block r holds images r*b .. r*b + b-1 side by side; row
+    (ci, u, v) matches the flattened weight; column (i, j) of image k is
+    k*oh*ow + i*ow + j."""
+    n, c = x.shape[:2]
+    b = math.gcd(n, max(1, _GEMM_COLS // (oh * ow))) if merge else 1
+    if kh == kw == 1 and s == 1 and p == 0:
+        win = x[:, :, :, :, None, None]  # cheaper than a window view
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(_pad(x, p), (kh, kw), axis=(2, 3))
+        win = win[:, :, :s * oh:s, :s * ow:s]  # (n, c, oh, ow, kh, kw)
+    win = win.reshape(n // b, b, c, oh, ow, kh, kw).transpose(0, 2, 5, 6, 1, 3, 4)
+    return win.reshape(n // b, c * kh * kw, b * oh * ow)  # a view when 1x1 and b = 1
+
+
+def _correlate(x: np.ndarray, w3: np.ndarray, kh: int, kw: int, s: int, p: int,
+               oh: int, ow: int) -> np.ndarray:
+    """Cross-correlation of the NCHW array x with the weight w3, shaped
+    (groups, out/groups, in/groups*kh*kw), as (n/b, out, b, oh, ow) blocks."""
+    groups, opg = w3.shape[:2]
+    # a 1x1 patch matrix at b = 1 is x itself, and merging costs two copies
+    cols = _cols(x, kh, kw, s, p, oh, ow, merge=kh * kw > 1)
+    nb, _, m = cols.shape
+    return np.matmul(w3, cols.reshape(nb, groups, -1, m)).reshape(nb, groups * opg, -1, oh, ow)
+
+
+def _nchw(y: np.ndarray) -> np.ndarray:
+    """(n/b, c, b, h, w) blocks as one (n, c, h, w) array, a view at b = 1."""
+    nb, c, b, h, w = y.shape
+    return np.ascontiguousarray(y.transpose(0, 2, 1, 3, 4)).reshape(nb * b, c, h, w)
 
 
 def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -568,61 +572,45 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: output spatial dims ({oh}, {ow}) must be >= 1")
 
-    if g == 1 and kh == 1 and kw == 1 and s == 1 and p == 0:
-        return _conv1x1(x, weight, bias, oc)
     if g == ic and oc == ic:
         return _conv_depthwise(x, weight, bias, kh, kw, s, p, oh, ow)
-    if g == 1:
-        return _conv_im2col(x, weight, bias, kh, kw, s, p, oh, ow)
-    return _conv_grouped(x, weight, bias, spec, oh, ow)
+    return _conv_dense(x, weight, bias, g, kh, kw, s, p, oh, ow)
 
 
-def _conv1x1(x: Tensor, weight: Tensor, bias: Tensor | None, oc: int) -> Tensor:
-    n, c, h, w = x.data.shape
-    x2 = x.data.reshape(n, c, h * w)
-    w2 = weight.data.reshape(oc, c)
-    out = np.matmul(w2, x2)
-    if bias is not None:
-        out += bias.data[:, None]
-    out = out.reshape(n, oc, h, w)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        gf = g.reshape(n, oc, h * w)
-        _acc(x, np.matmul(w2.T, gf).reshape(x.data.shape))
-        _acc(weight, np.matmul(gf, x2.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape))
-        if bias is not None:
-            _acc(bias, gf.sum(axis=(0, 2)))
-
-    return _node(out, parents, backward, "conv2d")
-
-
-def _conv_im2col(x, weight, bias, kh, kw, s, p, oh, ow):
-    # the closure keeps neither the padded input nor its kh*kw-fold cols
-    # buffer: backward rebuilds both from x.data
+def _conv_dense(x, weight, bias, groups, kh, kw, s, p, oh, ow):
+    # The closure keeps no patch matrix: backward rebuilds it from x.data.
     n, c, h, w = x.data.shape
     oc = weight.data.shape[0]
-    # xp lives until return on purpose: freed before the matmul, it left
-    # the s-scale 640 px forward's peak RSS 8 MB higher (where the
-    # allocator then placed the output)
-    xp = _pad(x.data, p)
-    cols = _im2col(xp, kh, kw, s, oh, ow)
-    out = np.matmul(weight.data.reshape(oc, -1), cols)
+    w3 = weight.data.reshape(groups, oc // groups, -1)
+    out = _correlate(x.data, w3, kh, kw, s, p, oh, ow)
     if bias is not None:
-        out += bias.data[:, None]
-    out = out.reshape(n, oc, oh, ow)
+        out += bias.data[:, None, None, None]
+    out = _nchw(out)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        gf = g.reshape(n, oc, oh * ow)
-        cols = _im2col(_pad(x.data, p), kh, kw, s, oh, ow)
-        _acc(weight, np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape))
-        del cols  # before gcols, of the same size, is allocated
-        gcols = np.matmul(weight.data.reshape(oc, -1).T, gf)
-        gxp = _col2im(gcols, (n, c, h + 2 * p, w + 2 * p), kh, kw, s, oh, ow)
-        _acc(x, gxp[:, :, p:p + h, p:p + w] if p else gxp)
+        g2 = _cols(g, 1, 1, 1, 0, oh, ow)  # g in the blocks' column order
+        nb, _, m = g2.shape
+        g2 = g2.reshape(nb, groups, -1, m)
+        cols = _cols(x.data, kh, kw, s, p, oh, ow).reshape(g2.shape[:2] + (-1, m))
+        _acc(weight, np.matmul(g2, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape))
+        del cols  # before the input gradient's buffers are allocated
         if bias is not None:
-            _acc(bias, gf.sum(axis=(0, 2)))
+            _acc(bias, g2.sum(axis=(0, 3)).reshape(oc))
+        if s == 1 and kh == kw and p < kh:
+            # the full correlation of g with the flipped, transposed weight:
+            # a gather, about twice as fast as the strided adds below
+            wt = w3.reshape(groups, oc // groups, -1, kh, kw)[:, :, :, ::-1, ::-1]
+            wt = wt.transpose(0, 2, 1, 3, 4).reshape(groups, c // groups, -1)
+            _acc(x, _nchw(_correlate(g, wt, kh, kw, 1, kh - 1 - p, h, w)))
+            return
+        gcols = np.matmul(w3.transpose(0, 2, 1), g2).reshape(nb, c, kh, kw, n // nb, oh, ow)
+        gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
+        gxb = gxp.reshape(nb, n // nb, c, h + 2 * p, w + 2 * p).transpose(0, 2, 1, 3, 4)
+        for u in range(kh):
+            for v in range(kw):
+                gxb[:, :, :, u:u + s * oh:s, v:v + s * ow:s] += gcols[:, :, u, v]
+        _acc(x, gxp[:, :, p:p + h, p:p + w])
 
     return _node(out, parents, backward, "conv2d")
 
@@ -653,20 +641,6 @@ def _conv_depthwise(x, weight, bias, kh, kw, s, p, oh, ow):
             _acc(bias, g.sum(axis=(0, 2, 3)))
 
     return _node(out, parents, backward, "conv2d")
-
-
-def _conv_grouped(x, weight, bias, spec: ConvSpec, oh, ow):
-    # rare path: split into per-group im2col convolutions
-    g_ = spec.groups
-    xg = split(x, [spec.in_channels // g_] * g_, axis=1)
-    wg = split(weight, [spec.out_channels // g_] * g_, axis=0)
-    bg = split(bias, [spec.out_channels // g_] * g_, axis=0) if bias is not None else [None] * g_
-    kh, kw = spec.kernel
-    outs = [
-        _conv_im2col(xi, wi, bi, kh, kw, spec.stride, spec.padding, oh, ow)
-        for xi, wi, bi in zip(xg, wg, bg)
-    ]
-    return concat(outs, axis=1)
 
 
 def conv1d(x: Tensor, weight: Tensor) -> Tensor:

@@ -118,10 +118,15 @@ def test_criterion_3_ss2d_complexity():
     attn_rows = run_sweep("attention", Ls=(256, 1024, 4096), repeats=7)
     rs = growth_ratios(ss2d_rows)
     ra = growth_ratios(attn_rows)
+    # the deterministic witness: scan state bytes grow exactly 4x per 4x L
+    state = [r.state_bytes for r in ss2d_rows]
+    linear_state = state[0] > 0 and all(b == 4 * a for a, b in zip(state, state[1:]))
     elapsed = time.time() - t0
-    ok = all(3.0 <= r <= 6.0 for r in rs) and all(r >= 12.0 for r in ra) and elapsed < 300
+    ok = (linear_state and all(3.0 <= r <= 6.0 for r in rs) and all(r >= 12.0 for r in ra)
+          and elapsed < 300)
     _report(3, "ss2d linear complexity", ok,
-            f"ss2d ratios {[f'{r:.2f}' for r in rs]}, attention {[f'{r:.2f}' for r in ra]}, {elapsed:.0f}s")
+            f"ss2d state bytes {state}, ss2d ratios {[f'{r:.2f}' for r in rs]}, "
+            f"attention {[f'{r:.2f}' for r in ra]}, {elapsed:.0f}s")
 
 
 def test_criterion_4_parameter_counts():

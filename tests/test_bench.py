@@ -20,6 +20,8 @@ class TestHarness:
         assert row.operator == "ss2d" and row.L == 64
         assert row.d_model == 8 and row.d_state == 4
         assert row.mean_ns > 0
+        # four directions of one float32 image: 4 * n*L*d*N*itemsize
+        assert row.state_bytes == 4 * 1 * 64 * 8 * 4 * 4
 
     def test_attention_row(self):
         row = bench_attention(64, d_model=8, repeats=2)

@@ -62,6 +62,63 @@ class TestConv2d:
         want = conv2d_direct(x, w, b, stride, pad, groups)
         assert np.allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("hw", [(7, 6), (10, 11)])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("k,stride,pad", [
+        (k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in sorted({0, k // 2})
+    ])
+    def test_dense_grid_matches_direct_oracle(self, rng, k, stride, pad, groups, hw):
+        x = rng.standard_normal((3, 4) + hw)
+        w = rng.standard_normal((6, 4 // groups, k, k))
+        b = rng.standard_normal(6)
+        spec = ConvSpec(4, 6, (k, k), stride=stride, padding=pad, groups=groups)
+        got = T.conv2d(Tensor(x), spec, Tensor(w), Tensor(b)).data
+        want = conv2d_direct(x, w, b, stride, pad, groups)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("k,stride,pad", [
+        (1, 1, 0), (1, 1, 1), (1, 2, 0), (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 1, 3),
+    ])
+    def test_dense_gradcheck(self, rng, k, stride, pad, groups):
+        # stride 1 with pad < k takes the gather path for the input
+        # gradient, the rest the strided adds
+        x = Tensor(rng.standard_normal((2, 4, 5, 6)))
+        w = Tensor(rng.standard_normal((6, 4 // groups, k, k)) * 0.4)
+        b = Tensor(rng.standard_normal(6) * 0.1)
+        spec = ConvSpec(4, 6, (k, k), stride=stride, padding=pad, groups=groups)
+        rep = T.grad_check(lambda *ts: T.tsum(T.conv2d(ts[0], spec, ts[1], ts[2])),
+                           [x, w, b], tol=1e-5)
+        assert rep.passed, str(rep)
+
+    @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (3, 1, 1), (3, 2, 1)])
+    def test_images_per_gemm_do_not_change_results(self, rng, monkeypatch, k, stride, pad):
+        # one image per GEMM, the default blocks, and the whole batch in one
+        x = rng.standard_normal((8, 4, 6, 5))
+        w = rng.standard_normal((5, 4, k, k))
+        g = rng.standard_normal(conv2d_direct(x[:1], w, None, stride, pad).shape[1:])
+        spec = ConvSpec(4, 5, (k, k), stride=stride, padding=pad, bias=False)
+        runs = []
+        for cols in (1, T._GEMM_COLS, 10**9):
+            monkeypatch.setattr(T, "_GEMM_COLS", cols)
+            runs.append(_run(lambda a, b: T.conv2d(a, spec, b), [x, w], np.broadcast_to(g, (8,) + g.shape)))
+        for got in runs[:2]:
+            for a, b in zip(got, runs[2], strict=True):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("k,stride,pad,groups", [(1, 1, 0, 1), (3, 1, 1, 1), (3, 2, 1, 2), (3, 1, 1, 4)])
+    def test_float32_stays_float32(self, rng, k, stride, pad, groups):
+        x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((4, 4 // groups, k, k)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        spec = ConvSpec(4, 4, (k, k), stride=stride, padding=pad, groups=groups)
+        out = T.conv2d(Tensor(x, requires_grad=True), spec, Tensor(w, requires_grad=True),
+                       Tensor(b, requires_grad=True))
+        assert out.dtype == np.float32
+        got = _run(lambda *ts: T.conv2d(ts[0], spec, ts[1], ts[2]), [x, w, b], np.ones_like(out.data))
+        assert [a.dtype for a in got] == [np.float32] * 4
+
     def test_depthwise_gradcheck(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 8, 8)))
         w = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.3)
@@ -368,6 +425,24 @@ class TestElementwise:
         m = Tensor(rng.standard_normal((1, 2, 6, 6)))
         rep = T.grad_check(lambda a: T.tsum(T.mul(T.upsample_nearest2x(a), m)), [x])
         assert rep.passed, str(rep)
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.minimum, T.maximum])
+    def test_constant_operand_gets_no_gradient_work(self, rng, monkeypatch, op):
+        calls = []
+        real = T._unbroadcast
+        monkeypatch.setattr(T, "_unbroadcast", lambda g, shape: calls.append(shape) or real(g, shape))
+        x = rng.standard_normal((2, 3)) + 3.0
+        for a, b in ((Tensor(x, requires_grad=True), 2.0), (np.ones((1, 3)), Tensor(x, requires_grad=True))):
+            calls.clear()
+            T.tsum(op(a, b)).backward()
+            assert calls == [(2, 3)]
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.minimum, T.maximum])
+    def test_scalar_operand_takes_the_tensor_dtype(self, op):
+        x = Tensor(np.full((2, 2), 0.5, dtype=np.float32), requires_grad=True)
+        assert op(1.0, x).dtype == np.float32 and op(x, 1.0).dtype == np.float32
+        T.tsum(op(1.0, x)).backward()
+        assert x.grad.dtype == np.float32
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_arith_gradchecks(self, seed):

@@ -175,9 +175,24 @@ class TestTapeSweep:
         for (name, p), (_, q) in pairs:
             assert p.grad.dtype == q.grad.dtype and p.grad.tobytes() == q.grad.tobytes(), name
 
+    def test_float32_model_keeps_float32(self):
+        # Python-scalar operands of the loss (1 - IoU, the clamps, the
+        # weights) take the model's dtype rather than promoting to float64
+        model = build_graph(variant_spec("fabme", "nano-test", num_classes=4, input_size=64,
+                                         seed=0, dtype="float32"))
+        items = TR.items_from_scenes(TR.gen_synth_dataset(4, 4, seed=1))
+        x = Tensor(np.stack([b[0] for b in items]).astype(np.float32))
+        targets = TR.build_targets([b[1] for b in items], 64, model.strides, 4, np.float32)
+        loss = self._step(Tensor.backward, model, x, targets)
+        assert loss.dtype == np.float32
+        named = list(model.named_parameters())
+        assert len(named) > 100
+        for name, p in named:
+            assert p.data.dtype == np.float32 and p.grad.dtype == np.float32, name
+
     def test_tape_peak(self):
         # the sweep frees each node once it has run, and the conv closures
-        # keep no im2col buffer: 56 MB, against 128 MB when the whole tape
+        # keep no patch matrix: 56 MB, against 128 MB when the whole tape
         # lived until the sweep ended
         import tracemalloc
         inputs = self._inputs()
