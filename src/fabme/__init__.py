@@ -9,7 +9,7 @@ from fabme.blocks import (
     C2F, C2FVMamba, C2FVMambaConfig, EMCA, EMCAConfig, SPPF, VSS, VSSConfig,
 )
 from fabme.graph import GraphSpec, build_graph, count_params, decode, variant_spec
-from fabme.metrics import Detection, GroundTruth, iou, map50, match_and_ap
+from fabme.metrics import Detection, GroundTruth, map50, match_and_ap
 from fabme.train import TrainConfig, gen_synth_dataset
 
 # the train() entry point lives at fabme.train.train; re-exporting it here
@@ -21,7 +21,7 @@ __all__ = [
     "C2F", "C2FVMamba", "C2FVMambaConfig", "EMCA", "EMCAConfig",
     "SPPF", "VSS", "VSSConfig",
     "GraphSpec", "build_graph", "count_params", "decode", "variant_spec",
-    "Detection", "GroundTruth", "iou", "map50", "match_and_ap",
+    "Detection", "GroundTruth", "map50", "match_and_ap",
     "TrainConfig", "gen_synth_dataset",
 ]
 __version__ = "0.1.0"

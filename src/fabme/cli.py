@@ -66,14 +66,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_variant(args, num_classes: int, dtype: str = "float64"):
-    from fabme.graph import build_graph, variant_spec
-
-    spec = variant_spec(args.variant, args.scale, num_classes=num_classes,
-                        seed=args.seed, dtype=dtype)
-    return build_graph(spec), spec
-
-
 def cmd_train(args) -> int:
     from fabme.blocks import save_checkpoint
     from fabme.data import scan_dataset, split_dataset
@@ -236,6 +228,8 @@ def cmd_params(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from fabme.graph import SCALES, VARIANTS
+
     ap = argparse.ArgumentParser(prog="fabme", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -255,9 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a detector variant")
-    p.add_argument("--variant", default="fabme",
-                   choices=["baseline", "fabme", "emca-only", "c2f1", "c2f2", "c2f3", "c2f4"])
-    p.add_argument("--scale", default="nano-test", choices=["s", "nano-test"])
+    p.add_argument("--variant", default="fabme", choices=VARIANTS)
+    p.add_argument("--scale", default="nano-test", choices=SCALES)
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None, help="TrainConfig key=value file")
     p.add_argument("--out", default="fabme_out")
@@ -295,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("params", help="count learnable parameters per variant")
-    p.add_argument("--variant", nargs="+", required=True,
-                   choices=["baseline", "fabme", "emca-only", "c2f1", "c2f2", "c2f3", "c2f4"])
-    p.add_argument("--scale", default="s", choices=["s", "nano-test"])
+    p.add_argument("--variant", nargs="+", required=True, choices=VARIANTS)
+    p.add_argument("--scale", default="s", choices=SCALES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="fabme_out")
     p.set_defaults(fn=cmd_params)

@@ -553,13 +553,15 @@ def _nchw(y: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Grouped 2-D cross-correlation (groups == in_channels is depthwise)."""
+    """Grouped 2-D cross-correlation (groups == in_channels is depthwise),
+    one patch-matrix GEMM kernel for every kernel size, stride and group
+    count."""
     n, c, h, w = x.data.shape
     kh, kw = spec.kernel
-    ic, oc, g, s, p = spec.in_channels, spec.out_channels, spec.groups, spec.stride, spec.padding
+    ic, oc, groups, s, p = spec.in_channels, spec.out_channels, spec.groups, spec.stride, spec.padding
     if c != ic:
         raise ShapeError(f"conv2d: input channels {c} != spec.in_channels {ic}")
-    wshape = (oc, ic // g, kh, kw)
+    wshape = (oc, ic // groups, kh, kw)
     if weight.data.shape != wshape:
         raise ShapeError(f"conv2d: weight shape {weight.data.shape} != expected {wshape}")
     if spec.bias:
@@ -572,15 +574,7 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: output spatial dims ({oh}, {ow}) must be >= 1")
 
-    if g == ic and oc == ic:
-        return _conv_depthwise(x, weight, bias, kh, kw, s, p, oh, ow)
-    return _conv_dense(x, weight, bias, g, kh, kw, s, p, oh, ow)
-
-
-def _conv_dense(x, weight, bias, groups, kh, kw, s, p, oh, ow):
     # The closure keeps no patch matrix: backward rebuilds it from x.data.
-    n, c, h, w = x.data.shape
-    oc = weight.data.shape[0]
     w3 = weight.data.reshape(groups, oc // groups, -1)
     out = _correlate(x.data, w3, kh, kw, s, p, oh, ow)
     if bias is not None:
@@ -611,34 +605,6 @@ def _conv_dense(x, weight, bias, groups, kh, kw, s, p, oh, ow):
             for v in range(kw):
                 gxb[:, :, :, u:u + s * oh:s, v:v + s * ow:s] += gcols[:, :, u, v]
         _acc(x, gxp[:, :, p:p + h, p:p + w])
-
-    return _node(out, parents, backward, "conv2d")
-
-
-def _conv_depthwise(x, weight, bias, kh, kw, s, p, oh, ow):
-    n, c, h, w = x.data.shape
-    xp = _pad(x.data, p)
-    out = np.zeros((n, c, oh, ow), dtype=x.data.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            out += weight.data[None, :, 0, u, v, None, None] * xp[:, :, u:u + s * oh:s, v:v + s * ow:s]
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        xp = _pad(x.data, p)  # rebuilt rather than kept on the tape
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(weight.data)
-        for u in range(kh):
-            for v in range(kw):
-                sl = xp[:, :, u:u + s * oh:s, v:v + s * ow:s]
-                gw[:, 0, u, v] = np.einsum("nchw,nchw->c", g, sl)
-                gxp[:, :, u:u + s * oh:s, v:v + s * ow:s] += weight.data[None, :, 0, u, v, None, None] * g
-        _acc(x, gxp[:, :, p:p + h, p:p + w] if p else gxp)
-        _acc(weight, gw)
-        if bias is not None:
-            _acc(bias, g.sum(axis=(0, 2, 3)))
 
     return _node(out, parents, backward, "conv2d")
 
@@ -760,16 +726,24 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
 # normalization / losses
 
 
+def _mean(a: np.ndarray, axis, count: int) -> np.ndarray:
+    """a.mean(axis, keepdims=True) over `count` values, bit for bit, without
+    the cost of numpy's Python wrapper for it."""
+    out = np.add.reduce(a, axis=axis, keepdims=True)
+    out /= count
+    return out
+
+
 def channel_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each (n, c) plane over its spatial positions, then apply
     a learnable per-channel affine."""
     n, c, h, w = x.data.shape
     m = h * w
     x3 = x.data.reshape(n, c, m)
-    mu = x3.mean(axis=2, keepdims=True)
+    mu = _mean(x3, 2, m)
     xhat = x3 - mu
     out = xhat * xhat
-    var = out.mean(axis=2, keepdims=True)
+    var = _mean(out, 2, m)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     np.multiply(gain.data[None, :, None], xhat, out=out)
@@ -781,9 +755,9 @@ def channel_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     def backward(g):
         # inv * (gy - mean(gy) - xhat * mean(gy * xhat)) in two buffers
         gy = g * gain.data[None, :, None, None]
-        gmean = gy.mean(axis=(2, 3), keepdims=True)
+        gmean = _mean(gy, (2, 3), m)
         t = np.multiply(gy, xhat)
-        gdot = t.mean(axis=(2, 3), keepdims=True)
+        gdot = _mean(t, (2, 3), m)
         gy -= gmean
         np.multiply(xhat, gdot, out=t)
         gy -= t

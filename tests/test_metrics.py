@@ -3,34 +3,34 @@ brute-force oracle equivalence, and ranking properties."""
 import numpy as np
 import pytest
 
-from fabme.metrics import Detection, GroundTruth, iou, map50, match_and_ap, pairwise_iou
+from fabme.metrics import Detection, GroundTruth, map50, match_and_ap, pairwise_iou
 
 from oracles import box_iou_py, brute_force_map50, random_detection_scene
 
 
 class TestIoU:
     def test_identity(self):
-        assert iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
+        assert pairwise_iou(np.array([(0, 0, 2, 2)]), np.array([(0, 0, 2, 2)])).tolist() == [[1.0]]
 
     def test_disjoint(self):
-        assert iou((0, 0, 1, 1), (2, 2, 3, 3)) == 0.0
+        assert pairwise_iou(np.array([(0, 0, 1, 1)]), np.array([(2, 2, 3, 3)])).tolist() == [[0.0]]
 
     def test_third_overlap(self):
-        assert iou((0, 0, 2, 2), (1, 0, 3, 2)) == pytest.approx(1 / 3, abs=1e-15)
+        got = pairwise_iou(np.array([(0, 0, 2, 2)]), np.array([(1, 0, 3, 2)]))
+        assert got[0, 0] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            iou((0, 0, 0, 2), (0, 0, 1, 1))
+            GroundTruth(1, (0, 0, 0, 2))
         with pytest.raises(ValueError, match="degenerate"):
             Detection(1, (3, 0, 1, 2), 0.5)
 
     def test_symmetry_and_range(self, rng):
-        for _ in range(50):
-            a = _rand_box(rng)
-            b = _rand_box(rng)
-            v = iou(a, b)
-            assert 0.0 <= v <= 1.0
-            assert v == pytest.approx(iou(b, a), abs=1e-15)
+        a = np.array([_rand_box(rng) for _ in range(50)])
+        b = np.array([_rand_box(rng) for _ in range(50)])
+        v = pairwise_iou(a, b)
+        assert ((0.0 <= v) & (v <= 1.0)).all()
+        assert np.allclose(v, pairwise_iou(b, a).T, rtol=0, atol=1e-15)
 
     def test_pairwise_bitwise_equals_scalar(self, rng):
         # random pairs plus identical, edge-touching and disjoint ones
@@ -40,7 +40,7 @@ class TestIoU:
         got = pairwise_iou(a, b)
         assert got.shape == (len(a), len(b))
         assert got.tolist() == [[box_iou_py(tuple(p), tuple(q)) for q in b] for p in a]
-        assert got[0, 0] == iou(a[0], b[0]) == 1.0
+        assert got[0, 0] == 1.0
         assert got[-2, 7] == 1.0 and got[-1, 7] == 0.0 and not got[:, 8].any()
 
 
@@ -82,6 +82,24 @@ class TestAP:
         dets = [Detection(1, (2, 0, 12, 10), 0.9), Detection(1, (0, 0, 10, 10), 0.8)]
         r = match_and_ap(dets, gts)[1]
         assert r.n_tp == 2 and r.n_fp == 0
+
+    @pytest.mark.parametrize("dets_raw,ap,n_tp", [
+        # the first detection ties on (0, 0, 10, 10) and (2, 0, 12, 10) and
+        # takes the first; the second overlaps only that one at >= 0.5
+        ([("a", 1, (1, 0, 11, 10), 0.9), ("a", 1, (-3, 0, 7, 10), 0.8)], 0.5, 1),
+        # the first takes (0, 0, 10, 10), the best match of the second too,
+        # which then takes its second best (2, 0, 12, 10) at 0.74; the third
+        # overlaps only taken ground truths
+        ([("a", 1, (0, 0, 10, 10), 0.9), ("a", 1, (0.5, 0, 10.5, 10), 0.8),
+          ("a", 1, (0, 0, 9, 10), 0.7)], 1.0, 2),
+    ])
+    def test_greedy_matching_matches_brute_force(self, dets_raw, ap, n_tp):
+        gts_raw = [("a", 1, (0, 0, 10, 10)), ("a", 1, (2, 0, 12, 10))]
+        gts = [GroundTruth(c, b, i) for i, c, b in gts_raw]
+        dets = [Detection(c, b, conf, i) for i, c, b, conf in dets_raw]
+        r = match_and_ap(dets, gts)[1]
+        assert r.ap == pytest.approx(brute_force_map50(dets_raw, gts_raw), abs=1e-9)
+        assert r.ap == ap and r.n_tp == n_tp
 
     def test_monotone_confidence_invariance(self, rng):
         dets_raw, gts_raw = random_detection_scene(rng)
@@ -148,14 +166,3 @@ class TestMap50:
             got = map50(dets, gts, classes=5).map50
             want = brute_force_map50(dets_raw, gts_raw)
             assert got == pytest.approx(want, abs=1e-9), seed
-
-    def test_eleven_point_variant_close_but_distinct(self):
-        gts = [GroundTruth(1, (0, 0, 10, 10), "a"), GroundTruth(1, (20, 20, 30, 30), "a")]
-        dets = [
-            Detection(1, (0, 0, 10, 10), 0.9, "a"),
-            Detection(1, (50, 50, 60, 60), 0.8, "a"),
-            Detection(1, (20, 20, 30, 30), 0.7, "a"),
-        ]
-        allp = map50(dets, gts, classes=20).map50
-        elevenp = map50(dets, gts, classes=20, interpolation="11-point").map50
-        assert 0 < elevenp <= 1 and abs(elevenp - allp) < 0.1 and elevenp != allp

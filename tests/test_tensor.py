@@ -63,31 +63,33 @@ class TestConv2d:
         assert np.allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("hw", [(7, 6), (10, 11)])
-    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
     @pytest.mark.parametrize("k,stride,pad", [
         (k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in sorted({0, k // 2})
     ])
     def test_dense_grid_matches_direct_oracle(self, rng, k, stride, pad, groups, hw):
+        cout = 4 if groups == 4 else 6  # groups 4 is depthwise
         x = rng.standard_normal((3, 4) + hw)
-        w = rng.standard_normal((6, 4 // groups, k, k))
-        b = rng.standard_normal(6)
-        spec = ConvSpec(4, 6, (k, k), stride=stride, padding=pad, groups=groups)
+        w = rng.standard_normal((cout, 4 // groups, k, k))
+        b = rng.standard_normal(cout)
+        spec = ConvSpec(4, cout, (k, k), stride=stride, padding=pad, groups=groups)
         got = T.conv2d(Tensor(x), spec, Tensor(w), Tensor(b)).data
         want = conv2d_direct(x, w, b, stride, pad, groups)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
     @pytest.mark.parametrize("k,stride,pad", [
         (1, 1, 0), (1, 1, 1), (1, 2, 0), (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 1, 3),
     ])
     def test_dense_gradcheck(self, rng, k, stride, pad, groups):
         # stride 1 with pad < k takes the gather path for the input
-        # gradient, the rest the strided adds
+        # gradient, the rest the strided adds; groups 4 is depthwise
+        cout = 4 if groups == 4 else 6
         x = Tensor(rng.standard_normal((2, 4, 5, 6)))
-        w = Tensor(rng.standard_normal((6, 4 // groups, k, k)) * 0.4)
-        b = Tensor(rng.standard_normal(6) * 0.1)
-        spec = ConvSpec(4, 6, (k, k), stride=stride, padding=pad, groups=groups)
+        w = Tensor(rng.standard_normal((cout, 4 // groups, k, k)) * 0.4)
+        b = Tensor(rng.standard_normal(cout) * 0.1)
+        spec = ConvSpec(4, cout, (k, k), stride=stride, padding=pad, groups=groups)
         rep = T.grad_check(lambda *ts: T.tsum(T.conv2d(ts[0], spec, ts[1], ts[2])),
                            [x, w, b], tol=1e-5)
         assert rep.passed, str(rep)
