@@ -69,12 +69,13 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Ten
 
 
 class Conv(Module):
-    """Conv2d with optional per-channel spatial norm and SiLU; YOLO-style
-    auto same-padding.  norm defaults to act: activated convolutions are
-    normalized, bare projections and predictors are not."""
+    """Conv2d with YOLO-style auto same-padding.  An activated convolution
+    (act) is normalized per channel over spatial positions and passed
+    through SiLU, as one tape op; a bare projection or predictor is
+    neither."""
 
     def __init__(self, c_in, c_out, k=1, stride=1, padding=None, groups=1,
-                 act=True, norm=None, rng=None, dtype=np.float64):
+                 act=True, rng=None, dtype=np.float64):
         if rng is None:
             rng = np.random.default_rng(0)
         if padding is None:
@@ -82,14 +83,13 @@ class Conv(Module):
         self.spec = ConvSpec(c_in, c_out, (k, k), stride=stride, padding=padding, groups=groups)
         self.weight = _kaiming_uniform(rng, (c_out, c_in // groups, k, k), (c_in // groups) * k * k, dtype)
         self.bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-        self.norm = ChannelNorm(c_out, dtype=dtype) if (act if norm is None else norm) else None
+        self.norm = ChannelNorm(c_out, dtype=dtype) if act else None
         self.act = act
 
     def forward(self, x):
-        y = T.conv2d(x, self.spec, self.weight, self.bias)
-        if self.norm is not None:
-            y = self.norm(y)
-        return T.silu(y) if self.act else y
+        if self.act:
+            return T.conv_norm_silu(x, self.spec, self.weight, self.bias, self.norm.gain, self.norm.bias)
+        return T.conv2d(x, self.spec, self.weight, self.bias)
 
 
 class ChannelNorm(Module):

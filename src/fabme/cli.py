@@ -106,11 +106,11 @@ def cmd_train(args) -> int:
         except TrainDivergedError as e:
             ckpt = out / f"{variant}.diverged.fabck"
             save_checkpoint(ckpt, e.last_state.items())
-            write_history_csv(out / f"history_{variant}.csv", e.history)
+            write_history_csv(out / f"history_{variant}.csv", e.history, e.seconds)
             print(f"error: training diverged; last finite state saved to {ckpt}",
                   file=sys.stderr)
             return 1
-        write_history_csv(out / f"history_{variant}.csv", res.history)
+        write_history_csv(out / f"history_{variant}.csv", res.history, res.seconds)
         ckpt = out / f"{variant}.fabck"
         save_checkpoint(ckpt, res.best_state.items())
         spec.to_file(out / f"{variant}.fabck.spec")

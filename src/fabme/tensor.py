@@ -28,7 +28,7 @@ __all__ = [
     "no_grad", "finite_checks",
     "add", "sub", "mul", "div", "neg", "exp", "log", "sigmoid", "silu",
     "softplus", "minimum", "maximum", "tsum", "tmean", "reshape",
-    "concat", "split", "linear", "conv2d", "conv1d",
+    "concat", "split", "linear", "conv2d", "conv_norm_silu", "conv1d",
     "global_avg_pool", "global_max_pool", "maxpool2d", "upsample_nearest2x",
     "channel_norm", "bce_with_logits",
     "grad_check", "GradCheckReport",
@@ -325,19 +325,24 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), backward, "sigmoid")
 
 
+def _silu_grad(g: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """SiLU's input gradient g * s * (1 + a * (1 - s)) for s = sigmoid(a), in
+    two buffers; a product or sum of two operands is the same in either
+    order."""
+    d = 1.0 - s
+    d *= a
+    d += 1.0
+    gs = g * s
+    gs *= d
+    return gs
+
+
 def silu(a: Tensor) -> Tensor:
     s = _expit(a.data)
     out = a.data * s
 
     def backward(g):
-        # g * s * (1 + a * (1 - s)) in two buffers; a product or sum of two
-        # operands is the same in either order
-        d = 1.0 - s
-        d *= a.data
-        d += 1.0
-        gs = g * s
-        gs *= d
-        _acc(a, gs)
+        _acc(a, _silu_grad(g, a.data, s))
 
     return _node(out, (a,), backward, "silu")
 
@@ -552,10 +557,9 @@ def _nchw(y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.transpose(0, 2, 1, 3, 4)).reshape(nb * b, c, h, w)
 
 
-def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Grouped 2-D cross-correlation (groups == in_channels is depthwise),
-    one patch-matrix GEMM kernel for every kernel size, stride and group
-    count."""
+def _conv_forward(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None) -> np.ndarray:
+    """conv2d's checked forward value: a fresh C-contiguous (n, out, oh, ow)
+    array that no one else holds."""
     n, c, h, w = x.data.shape
     kh, kw = spec.kernel
     ic, oc, groups, s, p = spec.in_channels, spec.out_channels, spec.groups, spec.stride, spec.padding
@@ -573,40 +577,86 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     ow = (w + 2 * p - kw) // s + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: output spatial dims ({oh}, {ow}) must be >= 1")
-
-    # The closure keeps no patch matrix: backward rebuilds it from x.data.
-    w3 = weight.data.reshape(groups, oc // groups, -1)
-    out = _correlate(x.data, w3, kh, kw, s, p, oh, ow)
+    out = _correlate(x.data, weight.data.reshape(groups, oc // groups, -1), kh, kw, s, p, oh, ow)
     if bias is not None:
         out += bias.data[:, None, None, None]
-    out = _nchw(out)
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _nchw(out)
+
+
+def _conv_backward(g: np.ndarray, x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None):
+    """Push the conv output's gradient g to weight, bias and, when it
+    requires grad, x.  Nothing of the forward is kept: the patch matrix is
+    rebuilt from x.data."""
+    n, c, h, w = x.data.shape
+    oh, ow = g.shape[2:]
+    kh, kw = spec.kernel
+    oc, groups, s, p = spec.out_channels, spec.groups, spec.stride, spec.padding
+    w3 = weight.data.reshape(groups, oc // groups, -1)
+    g2 = _cols(g, 1, 1, 1, 0, oh, ow)  # g in the blocks' column order
+    nb, _, m = g2.shape
+    g2 = g2.reshape(nb, groups, -1, m)
+    cols = _cols(x.data, kh, kw, s, p, oh, ow).reshape(g2.shape[:2] + (-1, m))
+    _acc(weight, np.matmul(g2, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape))
+    del cols  # before the input gradient's buffers are allocated
+    if bias is not None:
+        _acc(bias, g2.sum(axis=(0, 3)).reshape(oc))
+    if not x.requires_grad:
+        return
+    if s == 1 and kh == kw and p < kh:
+        # the full correlation of g with the flipped, transposed weight:
+        # a gather, about twice as fast as the strided adds below
+        wt = w3.reshape(groups, oc // groups, -1, kh, kw)[:, :, :, ::-1, ::-1]
+        wt = wt.transpose(0, 2, 1, 3, 4).reshape(groups, c // groups, -1)
+        _acc(x, _nchw(_correlate(g, wt, kh, kw, 1, kh - 1 - p, h, w)))
+        return
+    gcols = np.matmul(w3.transpose(0, 2, 1), g2).reshape(nb, c, kh, kw, n // nb, oh, ow)
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
+    gxb = gxp.reshape(nb, n // nb, c, h + 2 * p, w + 2 * p).transpose(0, 2, 1, 3, 4)
+    for u in range(kh):
+        for v in range(kw):
+            gxb[:, :, :, u:u + s * oh:s, v:v + s * ow:s] += gcols[:, :, u, v]
+    _acc(x, gxp[:, :, p:p + h, p:p + w])
+
+
+def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Grouped 2-D cross-correlation (groups == in_channels is depthwise),
+    one patch-matrix GEMM kernel for every kernel size, stride and group
+    count."""
+    def backward(g):
+        _conv_backward(g, x, spec, weight, bias)
+
+    out = _conv_forward(x, spec, weight, bias)
+    return _node(out, (x, weight) if bias is None else (x, weight, bias), backward, "conv2d")
+
+
+def conv_norm_silu(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None,
+                   gain: Tensor, nbias: Tensor) -> Tensor:
+    """silu(channel_norm(conv2d(x, spec, weight, bias), gain, nbias)) as one
+    tape node, bit for bit, through the same kernels.
+
+    The conv output is normalised in place, and the node keeps only that
+    xhat and inv: backward recomputes the norm output gain*xhat + nbias and
+    its sigmoid, the recompute trick of in-place activated batch norm (Rota
+    Bulò et al., arXiv 1712.02616).  Untaped, the affine and the SiLU run
+    in the same buffer."""
+    parents = ((x, weight) if bias is None else (x, weight, bias)) + (gain, nbias)
+    taped = _grad_enabled and any(t.requires_grad for t in parents)
+    xhat, inv, spare = _normalize(_conv_forward(x, spec, weight, bias), _NORM_EPS, in_place=True)
+    out = _affine(xhat, gain.data, nbias.data, out=spare if taped else xhat)
+    del spare
+    out *= _expit(out)
 
     def backward(g):
-        g2 = _cols(g, 1, 1, 1, 0, oh, ow)  # g in the blocks' column order
-        nb, _, m = g2.shape
-        g2 = g2.reshape(nb, groups, -1, m)
-        cols = _cols(x.data, kh, kw, s, p, oh, ow).reshape(g2.shape[:2] + (-1, m))
-        _acc(weight, np.matmul(g2, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape))
-        del cols  # before the input gradient's buffers are allocated
-        if bias is not None:
-            _acc(bias, g2.sum(axis=(0, 3)).reshape(oc))
-        if s == 1 and kh == kw and p < kh:
-            # the full correlation of g with the flipped, transposed weight:
-            # a gather, about twice as fast as the strided adds below
-            wt = w3.reshape(groups, oc // groups, -1, kh, kw)[:, :, :, ::-1, ::-1]
-            wt = wt.transpose(0, 2, 1, 3, 4).reshape(groups, c // groups, -1)
-            _acc(x, _nchw(_correlate(g, wt, kh, kw, 1, kh - 1 - p, h, w)))
-            return
-        gcols = np.matmul(w3.transpose(0, 2, 1), g2).reshape(nb, c, kh, kw, n // nb, oh, ow)
-        gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
-        gxb = gxp.reshape(nb, n // nb, c, h + 2 * p, w + 2 * p).transpose(0, 2, 1, 3, 4)
-        for u in range(kh):
-            for v in range(kw):
-                gxb[:, :, :, u:u + s * oh:s, v:v + s * ow:s] += gcols[:, :, u, v]
-        _acc(x, gxp[:, :, p:p + h, p:p + w])
+        z = _affine(xhat, gain.data, nbias.data)
+        gz = _silu_grad(g, z, _expit(z))
+        del z
+        gy, ggain, gnbias = _norm_grad(gz, gain.data, xhat, inv)
+        del gz
+        _acc(gain, ggain)
+        _acc(nbias, gnbias)
+        _conv_backward(gy, x, spec, weight, bias)
 
-    return _node(out, parents, backward, "conv2d")
+    return _node(out, parents, backward, "conv_norm_silu")
 
 
 def conv1d(x: Tensor, weight: Tensor) -> Tensor:
@@ -677,9 +727,18 @@ def global_max_pool(x: Tensor) -> Tensor:
     return _node(out, (x,), backward, "global_max_pool")
 
 
+def _reads_input(u: int, s: int, p: int, size: int, o: int) -> bool:
+    """Whether some tap u + s*i - p (0 <= i < o) of window offset u along
+    one axis lands in the input rather than in its padding."""
+    i = max(0, -((u - p) // s))  # the first tap past the leading padding
+    return i < o and u + s * i - p < size
+
+
 def maxpool2d(x: Tensor, kernel: int, stride: int = 1, padding: int = 0) -> Tensor:
-    """Max pooling; ties go to the first window offset in row-major order,
-    and a NaN in a window makes its output NaN."""
+    """Max pooling over -inf padding; ties go to the first window offset in
+    row-major order, and a NaN in a window makes its output NaN.  The
+    padding never takes a gradient: a window whose inputs are all -inf
+    routes it to the first of them, and one with no input to nowhere."""
     n, c, h, w = x.data.shape
     k, s, p = kernel, stride, padding
     oh = (h + 2 * p - k) // s + 1
@@ -691,22 +750,28 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, padding: int = 0) -> Tens
         xp[:, :, p:p + h, p:p + w] = x.data
     else:
         xp = x.data
-    windows = [xp[:, :, u:u + s * oh:s, v:v + s * ow:s] for u in range(k) for v in range(k)]
-    out = windows[0].copy()
+    # the offsets whose strided slice reads only padding cannot change a
+    # maximum (16 of 25 for a 5x5 pool over a 2x2 map), so they are skipped
+    offsets = [(u, v) for u in range(k) if _reads_input(u, s, p, h, oh)
+               for v in range(k) if _reads_input(v, s, p, w, ow)]
+    windows = [xp[:, :, u:u + s * oh:s, v:v + s * ow:s] for u, v in offsets]
+    out = windows[0].copy() if windows else np.full((n, c, oh, ow), -np.inf, dtype=xp.dtype)
     for win in windows[1:]:
         # np.maximum returns its second operand on a tie (+0 against -0
         # included), so the earliest offset's value is kept
         np.maximum(win, out, out=out)
 
     def backward(g):
+        if p:  # a NaN equals no output, so the padding matches none
+            xp[:, :, :p] = xp[:, :, p + h:] = np.nan
+            xp[:, :, :, :p] = xp[:, :, :, p + w:] = np.nan
         gxp = np.zeros_like(xp)
         free = np.ones(out.shape, dtype=bool)  # outputs whose gradient is not yet routed
-        for u in range(k):
-            for v in range(k):
-                hit = xp[:, :, u:u + s * oh:s, v:v + s * ow:s] == out
-                hit &= free
-                free ^= hit
-                gxp[:, :, u:u + s * oh:s, v:v + s * ow:s] += np.where(hit, g, 0.0)
+        for u, v in offsets:
+            hit = xp[:, :, u:u + s * oh:s, v:v + s * ow:s] == out
+            hit &= free
+            free ^= hit
+            gxp[:, :, u:u + s * oh:s, v:v + s * ow:s] += np.where(hit, g, 0.0)
         _acc(x, gxp[:, :, p:p + h, p:p + w] if p else gxp)
 
     return _node(out, (x,), backward, "maxpool2d")
@@ -734,38 +799,60 @@ def _mean(a: np.ndarray, axis, count: int) -> np.ndarray:
     return out
 
 
-def channel_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_NORM_EPS = 1e-5
+
+
+def _normalize(x: np.ndarray, eps: float, in_place: bool = False):
+    """xhat = (x - mean) / sqrt(var + eps) over each (n, c) plane of the
+    NCHW array x, in x's own buffer when in_place (x is then C-contiguous).
+    Returns xhat, inv = 1 / sqrt(var + eps) as (n, c, 1, 1) and a spare
+    buffer of x's shape."""
+    n, c, h, w = x.shape
+    m = h * w
+    x3 = x.reshape(n, c, m)
+    xhat = np.subtract(x3, _mean(x3, 2, m), out=x3 if in_place else None)
+    spare = xhat * xhat
+    inv = 1.0 / np.sqrt(_mean(spare, 2, m) + eps)
+    xhat *= inv
+    return xhat.reshape(x.shape), inv.reshape(n, c, 1, 1), spare.reshape(x.shape)
+
+
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """gain * xhat + bias per channel of the NCHW array xhat, into out."""
+    out = np.multiply(gain[None, :, None, None], xhat, out=out)
+    out += bias[None, :, None, None]
+    return out
+
+
+def _norm_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray):
+    """channel_norm's gradients of its input, gain and bias for upstream g:
+    the first is inv * (gy - mean(gy) - xhat * mean(gy * xhat)) with
+    gy = gain * g, in two buffers."""
+    m = xhat.shape[2] * xhat.shape[3]
+    gy = g * gain[None, :, None, None]
+    gmean = _mean(gy, (2, 3), m)
+    t = np.multiply(gy, xhat)
+    gdot = _mean(t, (2, 3), m)
+    gy -= gmean
+    np.multiply(xhat, gdot, out=t)
+    gy -= t
+    gy *= inv
+    np.multiply(g, xhat, out=t)
+    return gy, t.sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def channel_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
     """Normalize each (n, c) plane over its spatial positions, then apply
     a learnable per-channel affine."""
-    n, c, h, w = x.data.shape
-    m = h * w
-    x3 = x.data.reshape(n, c, m)
-    mu = _mean(x3, 2, m)
-    xhat = x3 - mu
-    out = xhat * xhat
-    var = _mean(out, 2, m)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    np.multiply(gain.data[None, :, None], xhat, out=out)
-    out += bias.data[None, :, None]
-    out = out.reshape(n, c, h, w)
-    xhat = xhat.reshape(n, c, h, w)
-    inv = inv.reshape(n, c, 1, 1)
+    xhat, inv, out = _normalize(x.data, eps)
+    _affine(xhat, gain.data, bias.data, out=out)
 
     def backward(g):
-        # inv * (gy - mean(gy) - xhat * mean(gy * xhat)) in two buffers
-        gy = g * gain.data[None, :, None, None]
-        gmean = _mean(gy, (2, 3), m)
-        t = np.multiply(gy, xhat)
-        gdot = _mean(t, (2, 3), m)
-        gy -= gmean
-        np.multiply(xhat, gdot, out=t)
-        gy -= t
-        gy *= inv
-        _acc(x, gy)
-        np.multiply(g, xhat, out=t)
-        _acc(gain, t.sum(axis=(0, 2, 3)))
-        _acc(bias, g.sum(axis=(0, 2, 3)))
+        gx, ggain, gbias = _norm_grad(g, gain.data, xhat, inv)
+        _acc(x, gx)
+        _acc(gain, ggain)
+        _acc(bias, gbias)
 
     return _node(out, (x, gain, bias), backward, "channel_norm")
 

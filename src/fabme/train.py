@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -61,11 +62,13 @@ class TrainConfig:
 
 
 class TrainDivergedError(RuntimeError):
-    """Loss went non-finite; carries history and the last finite parameters."""
+    """Loss went non-finite; carries the history and seconds of the
+    finished epochs and the last finite parameters."""
 
-    def __init__(self, history, last_state):
+    def __init__(self, history, seconds, last_state):
         super().__init__("training diverged (non-finite loss)")
         self.history = history
+        self.seconds = seconds
         self.last_state = last_state
 
 
@@ -200,14 +203,19 @@ class TrainResult:
     best_state: dict
     stopped_epoch: int
     stop_reason: str
+    # per epoch (train_s, eval_s): wall time, so kept out of the history
+    # rows, which same-seed runs reproduce exactly
+    seconds: list
 
 
-def write_history_csv(path, history):
+def write_history_csv(path, history, seconds):
+    """One row per epoch: the history row, then its train and eval seconds."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["epoch", "lr", "train_loss", "val_map50", "obj_loss", "cls_loss", "box_loss"])
-        for row in history:
-            w.writerow([row[0]] + [f"{v:.6f}" for v in row[1:]])
+        w.writerow(["epoch", "lr", "train_loss", "val_map50", "obj_loss", "cls_loss", "box_loss",
+                    "train_s", "eval_s"])
+        for row, secs in zip(history, seconds, strict=True):
+            w.writerow([row[0]] + [f"{v:.6f}" for v in (*row[1:], *secs)])
 
 
 def load_items(samples: list[Sample]):
@@ -262,7 +270,7 @@ def train(model: FabMEModel, train_items, val_items, cfg: TrainConfig,
         raise ValueError("train: dataset must be nonempty")
     rng = np.random.default_rng(cfg.seed)
     state: dict = {}
-    history = []
+    history, seconds = [], []
     dtype = model.spec.np_dtype()
     named = list(model.named_parameters())
     img_size = train_items[0][0].shape[-1]
@@ -273,6 +281,7 @@ def train(model: FabMEModel, train_items, val_items, cfg: TrainConfig,
     stopped = cfg.max_epochs - 1
 
     for epoch in range(cfg.max_epochs):
+        t0 = perf_counter()
         order = rng.permutation(len(train_items))
         steps = max(1, len(order) // cfg.batch_size)
         epoch_loss = 0.0
@@ -286,7 +295,7 @@ def train(model: FabMEModel, train_items, val_items, cfg: TrainConfig,
             loss, parts = detection_loss(outs, targets, model.strides, nc, cfg)
             lv = loss.item()
             if not np.isfinite(lv):
-                raise TrainDivergedError(history, _snapshot(model))
+                raise TrainDivergedError(history, seconds, _snapshot(model))
             model.zero_grad()
             loss.backward()
             sgd_step(named, state, cfg, epoch + step / steps)
@@ -294,7 +303,9 @@ def train(model: FabMEModel, train_items, val_items, cfg: TrainConfig,
             for k in epoch_parts:
                 epoch_parts[k] += parts[k]
         epoch_loss /= steps
+        t1 = perf_counter()
         val = evaluate_map(model, val_items, cfg)
+        seconds.append((t1 - t0, perf_counter() - t1))
         history.append((epoch, lr_at(cfg, min(epoch + 1.0, cfg.warmup_epochs + 1)), epoch_loss, val,
                         *(v / steps for v in epoch_parts.values())))
         if progress is not None:
@@ -311,7 +322,7 @@ def train(model: FabMEModel, train_items, val_items, cfg: TrainConfig,
             stopped = epoch
             break
         stopped = epoch
-    return TrainResult(history, best_map, best_epoch, best_state, stopped, stop_reason)
+    return TrainResult(history, best_map, best_epoch, best_state, stopped, stop_reason, seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ class TestTrainEvalCmds:
         assert code == 0
         assert (out / "baseline.fabck").exists()
         assert (out / "baseline.fabck.spec").exists()
-        assert (out / "history_baseline.csv").exists()
+        assert (out / "history_baseline.csv").read_text().splitlines()[0].endswith(",train_s,eval_s")
         capsys.readouterr()
         code = main(["eval", "--model", str(out / "baseline.fabck"),
                      "--data", str(synth_dir), "--out", str(out)])

@@ -130,6 +130,30 @@ class TestConv2d:
                            [x, w, b], tol=1e-6)
         assert rep.passed, str(rep)
 
+    @pytest.mark.parametrize("op", ["conv2d", "conv_norm_silu"])
+    @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (1, 1)])
+    def test_input_gradient_only_when_required(self, rng, monkeypatch, op, k, stride):
+        # the other gradients are the same bits, and no input gradient is built
+        x, w, b = rng.standard_normal((2, 4, 5, 5)), rng.standard_normal((4, 4, k, k)), rng.standard_normal(4)
+        spec = ConvSpec(4, 4, (k, k), stride=stride, padding=k // 2)
+        gain, nb = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        if op == "conv2d":
+            def f(xt, wt, bt):
+                return T.conv2d(xt, spec, wt, bt)
+        else:
+            def f(xt, wt, bt):
+                return T.conv_norm_silu(xt, spec, wt, bt, gain, nb)
+        g = rng.standard_normal(f(Tensor(x), Tensor(w), Tensor(b)).shape)
+        want = _run(f, [x, w, b], g)
+        xt, wt, bt = Tensor(x), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        handed = []
+        real = T._acc
+        monkeypatch.setattr(T, "_acc", lambda t, a: handed.append(t) or real(t, a))
+        out = f(xt, wt, bt)
+        out.backward(g)
+        assert not any(t is xt for t in handed) and xt.grad is None
+        assert _same_bits([out.data, wt.grad, bt.grad], [want[0], want[2], want[3]])
+
     def test_shape_mismatch_diagnostic(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 4, 4)))
         w = Tensor(rng.standard_normal((2, 3, 3, 3)))
@@ -145,6 +169,54 @@ class TestConv2d:
             ConvSpec(3, 3, (3, 3), stride=0)
         with pytest.raises(ShapeError, match="padding"):
             ConvSpec(3, 3, (3, 3), padding=-1)
+
+
+class TestConvNormSilu:
+    """conv_norm_silu is conv2d -> channel_norm -> silu as one tape node,
+    bit for bit."""
+
+    @staticmethod
+    def _chain(spec):
+        return lambda x, w, b, gain, nb: T.silu(T.channel_norm(T.conv2d(x, spec, w, b), gain, nb))
+
+    @staticmethod
+    def _fused(spec):
+        return lambda x, w, b, gain, nb: T.conv_norm_silu(x, spec, w, b, gain, nb)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
+           st.sampled_from([1, 2]), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_the_three_ops(self, dtype, k, s, groups, n, h, w, taped, seed):
+        rng = np.random.default_rng(seed)
+        c, oc = 2 * groups, 3 * groups
+        spec = ConvSpec(c, oc, (k, k), stride=s, padding=k // 2, groups=groups)
+        arrays = [rng.standard_normal(shape).astype(dtype) for shape in
+                  ((n, c, h, w), (oc, c // groups, k, k), (oc,), (oc,), (oc,))]
+        arrays[0] = arrays[0] * 3 + rng.standard_normal((1, c, 1, 1)).astype(dtype)
+        if taped:
+            g = rng.standard_normal(T.conv2d(Tensor(arrays[0]), spec, *map(Tensor, arrays[1:3])).shape)
+            g = g.astype(dtype)
+            got, want = _run(self._fused(spec), arrays, g), _run(self._chain(spec), arrays, g)
+        else:
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            with T.no_grad():
+                got, want = [self._fused(spec)(*ts)], [self._chain(spec)(*ts)]
+            assert not got[0].requires_grad and got[0]._backward is None
+            got, want = [got[0].data], [want[0].data]
+        assert _same_bits(got, want)
+        assert got[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("k,stride,groups", [(3, 1, 1), (3, 2, 2), (1, 1, 1), (1, 2, 2)])
+    def test_gradcheck(self, rng, k, stride, groups):
+        spec = ConvSpec(4, 4, (k, k), stride=stride, padding=k // 2, groups=groups)
+        x = Tensor(rng.standard_normal((2, 4, 5, 5)))
+        w = Tensor(rng.standard_normal((4, 4 // groups, k, k)) * 0.5)
+        b, gain, nb = (Tensor(rng.standard_normal(4)) for _ in range(3))
+        m = Tensor(rng.standard_normal(T.conv2d(x, spec, w, b).shape))
+        rep = T.grad_check(lambda *ts: T.tsum(T.mul(T.conv_norm_silu(ts[0], spec, *ts[1:]), m)),
+                           [x, w, b, gain, nb], tol=1e-5)
+        assert rep.passed, str(rep)
 
 
 class TestConv1d:
@@ -211,16 +283,38 @@ class TestPooling:
         assert T.maxpool2d(x, 5, 1, 2).data.shape == (1, 2, 8, 8)
 
 
+    def test_maxpool2d_all_inf_window_routes_to_first_real_element(self):
+        # every window holds padding and -inf inputs; the padding never
+        # takes the gradient
+        out, gx = _run(lambda a: T.maxpool2d(a, 3, 1, 1), [np.full((1, 1, 2, 2), -np.inf)],
+                       np.ones((1, 1, 2, 2)))
+        assert np.array_equal(out, np.full((1, 1, 2, 2), -np.inf))
+        assert np.array_equal(gx, [[[[4.0, 0.0], [0.0, 0.0]]]])
+        x = np.array([[[[1.0, -np.inf], [-np.inf, -np.inf]]]])
+        out, gx = _run(lambda a: T.maxpool2d(a, 2, 1, 1), [x], np.ones((1, 1, 3, 3)))
+        assert np.array_equal(out[0, 0, 2], [-np.inf, -np.inf, -np.inf])
+        assert np.array_equal(gx, [[[[4.0, 2.0], [2.0, 1.0]]]])
+
+    def test_maxpool2d_window_of_padding_only(self):
+        # padding wider than the kernel: some windows read no input
+        x = np.array([[[[5.0]]]])
+        out, gx = _run(lambda a: T.maxpool2d(a, 1, 2, 1), [x], np.ones((1, 1, 2, 2)))
+        assert np.array_equal(out, np.full((1, 1, 2, 2), -np.inf)) and np.array_equal(gx, [[[[0.0]]]])
+        out, gx = _run(lambda a: T.maxpool2d(a, 1, 1, 1), [x], np.ones((1, 1, 3, 3)))
+        assert out[0, 0, 1, 1] == 5.0 and np.isneginf(out).sum() == 8 and gx.item() == 1.0
+
+
 class TestMaskedOracles:
     """The forward value and every gradient of silu, channel_norm and
     maxpool2d are bit for bit those of their masked forms in oracles."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 4), st.integers(1, 2),
-           st.booleans(), st.integers(1, 7), st.integers(1, 7), st.booleans(),
+           st.sampled_from([0, 1, 2]), st.integers(1, 7), st.integers(1, 7), st.booleans(),
            st.integers(0, 2**32 - 1))
     def test_maxpool2d(self, dtype, k, s, pad, h, w, ties, seed):
-        p = k // 2 if pad else 0
+        # padding 0, k//2 or k-1, so that some window offsets read only padding
+        p = (0, k // 2, k - 1)[pad]
         assume(h + 2 * p >= k and w + 2 * p >= k)
         rng = np.random.default_rng(seed)
         if ties:  # few levels, so most windows tie; half the zeros are -0
