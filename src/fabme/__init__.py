@@ -4,10 +4,8 @@ attention, a YOLO-style detection graph, a tiling pipeline, mAP@0.5
 evaluation, and a toy training loop."""
 
 from fabme.tensor import ConvSpec, Tensor, grad_check, no_grad
-from fabme.scan import ScanParams, cross_scan, selective_scan_1d, ss2d
-from fabme.blocks import (
-    C2F, C2FVMamba, C2FVMambaConfig, EMCA, EMCAConfig, SPPF, VSS, VSSConfig,
-)
+from fabme.scan import ScanParams, selective_scan_1d, ss2d
+from fabme.blocks import C2F, C2FVMamba, EMCA, SPPF, VSS
 from fabme.graph import GraphSpec, build_graph, count_params, decode, variant_spec
 from fabme.metrics import Detection, GroundTruth, map50, match_and_ap
 from fabme.train import TrainConfig, gen_synth_dataset
@@ -17,9 +15,8 @@ from fabme.train import TrainConfig, gen_synth_dataset
 
 __all__ = [
     "Tensor", "ConvSpec", "grad_check", "no_grad",
-    "ScanParams", "cross_scan", "selective_scan_1d", "ss2d",
-    "C2F", "C2FVMamba", "C2FVMambaConfig", "EMCA", "EMCAConfig",
-    "SPPF", "VSS", "VSSConfig",
+    "ScanParams", "selective_scan_1d", "ss2d",
+    "C2F", "C2FVMamba", "EMCA", "SPPF", "VSS",
     "GraphSpec", "build_graph", "count_params", "decode", "variant_spec",
     "Detection", "GroundTruth", "map50", "match_and_ap",
     "TrainConfig", "gen_synth_dataset",

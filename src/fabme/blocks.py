@@ -11,7 +11,6 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from fabme.tensor import ConvSpec, ShapeError, Tensor
 
 __all__ = [
     "Module", "Conv", "Bottleneck", "C2F", "SPPF",
-    "VSSConfig", "VSS", "C2FVMambaConfig", "C2FVMamba",
-    "EMCAConfig", "EMCA", "adaptive_kernel_size",
+    "VSS", "C2FVMamba", "EMCA", "adaptive_kernel_size",
     "block_rng", "save_checkpoint", "load_checkpoint", "load_into",
 ]
 
@@ -69,18 +67,14 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Ten
 
 
 class Conv(Module):
-    """Conv2d with YOLO-style auto same-padding.  An activated convolution
+    """Conv2d with YOLO-style same padding (k // 2).  An activated convolution
     (act) is normalized per channel over spatial positions and passed
     through SiLU, as one tape op; a bare projection or predictor is
     neither."""
 
-    def __init__(self, c_in, c_out, k=1, stride=1, padding=None, groups=1,
-                 act=True, rng=None, dtype=np.float64):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        if padding is None:
-            padding = k // 2
-        self.spec = ConvSpec(c_in, c_out, (k, k), stride=stride, padding=padding, groups=groups)
+    def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act=True, *, rng,
+                 dtype=np.float64):
+        self.spec = ConvSpec(c_in, c_out, (k, k), stride=stride, padding=k // 2, groups=groups)
         self.weight = _kaiming_uniform(rng, (c_out, c_in // groups, k, k), (c_in // groups) * k * k, dtype)
         self.bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
         self.norm = ChannelNorm(c_out, dtype=dtype) if act else None
@@ -106,9 +100,7 @@ class ChannelNorm(Module):
 class Bottleneck(Module):
     """Two 3x3 convolutions with an optional residual connection."""
 
-    def __init__(self, channels, shortcut=True, rng=None, dtype=np.float64):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, channels, shortcut=True, *, rng, dtype=np.float64):
         self.cv1 = Conv(channels, channels, 3, rng=rng, dtype=dtype)
         self.cv2 = Conv(channels, channels, 3, rng=rng, dtype=dtype)
         self.shortcut = shortcut
@@ -122,9 +114,7 @@ class C2F(Module):
     """CSP-style block: 1x1 conv, split in half, chain n bottlenecks on one
     half, concat every intermediate, 1x1 conv out.  Concat width is (n+2)*h."""
 
-    def __init__(self, c_in, c_out, n=1, shortcut=False, rng=None, dtype=np.float64):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, c_in, c_out, n=1, shortcut=False, *, rng, dtype=np.float64):
         if c_out % 2:
             raise ShapeError(f"C2F: out_channels {c_out} must be even")
         self.h = c_out // 2
@@ -143,11 +133,8 @@ class SPPF(Module):
     """Spatial pyramid pooling (fast): three chained stride-1 5x5 max pools,
     concat of all four stages, 1x1 convs either side."""
 
-    def __init__(self, c_in, c_out, k=5, rng=None, dtype=np.float64):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, c_in, c_out, *, rng, dtype=np.float64):
         hidden = c_in // 2
-        self.k = k
         self.cv1 = Conv(c_in, hidden, 1, rng=rng, dtype=dtype)
         self.cv2 = Conv(hidden * 4, c_out, 1, rng=rng, dtype=dtype)
 
@@ -155,7 +142,7 @@ class SPPF(Module):
         y = self.cv1(x)
         outs = [y]
         for _ in range(3):
-            outs.append(T.maxpool2d(outs[-1], self.k, 1, self.k // 2))
+            outs.append(T.maxpool2d(outs[-1], 5, 1, 2))
         return self.cv2(T.concat(outs))
 
 
@@ -163,151 +150,93 @@ class SPPF(Module):
 # visual state-space blocks
 
 
-@dataclass
-class VSSConfig:
-    channels: int
-    expand: float = 1.0
-    dw_kernel: int = 3
-    d_state: int = 8
-
-    @property
-    def inner(self) -> int:
-        return int(round(self.channels * self.expand))
-
-
 class VSS(Module):
     """Dual-path visual state-space block.
 
-    Pre-norm, then path (a) pointwise-expand -> depthwise conv -> SiLU ->
-    ss2d -> norm and path (b) pointwise-expand -> SiLU gate; paths merge
-    by elementwise product, project back to the block width, plus residual.
+    Pre-norm, then path (a) pointwise projection -> 3x3 depthwise conv ->
+    SiLU -> ss2d -> norm and path (b) pointwise projection -> SiLU gate;
+    paths merge by elementwise product, project back, plus residual.  Every
+    path keeps the block width.
     """
 
-    def __init__(self, cfg: VSSConfig, rng=None, dtype=np.float64):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        c, d = cfg.channels, cfg.inner
-        self.cfg = cfg
+    def __init__(self, channels, d_state=8, *, rng, dtype=np.float64):
+        c = self.channels = channels
         self.norm1 = ChannelNorm(c, dtype=dtype)
-        self.proj_a = Conv(c, d, 1, act=False, rng=rng, dtype=dtype)
-        self.proj_b = Conv(c, d, 1, act=False, rng=rng, dtype=dtype)
-        self.dw = Conv(d, d, cfg.dw_kernel, groups=d, act=False, rng=rng, dtype=dtype)
-        self.scan = ScanParams.create(d, d_state=cfg.d_state, rng=rng, dtype=dtype)
-        self.norm2 = ChannelNorm(d, dtype=dtype)
-        self.proj_out = Conv(d, c, 1, act=False, rng=rng, dtype=dtype)
+        self.proj_a = Conv(c, c, 1, act=False, rng=rng, dtype=dtype)
+        self.proj_b = Conv(c, c, 1, act=False, rng=rng, dtype=dtype)
+        self.dw = Conv(c, c, 3, groups=c, act=False, rng=rng, dtype=dtype)
+        self.scan = ScanParams.create(c, d_state=d_state, rng=rng, dtype=dtype)
+        self.norm2 = ChannelNorm(c, dtype=dtype)
+        self.proj_out = Conv(c, c, 1, act=False, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        if x.data.shape[1] != self.cfg.channels:
-            raise ShapeError(f"VSS: input channels {x.data.shape[1]} != {self.cfg.channels}")
+        if x.data.shape[1] != self.channels:
+            raise ShapeError(f"VSS: input channels {x.data.shape[1]} != {self.channels}")
         h = self.norm1(x)
         a = self.norm2(ss2d(T.silu(self.dw(self.proj_a(h))), self.scan))
         b = T.silu(self.proj_b(h))
         return T.add(x, self.proj_out(T.mul(a, b)))
 
 
-@dataclass
-class C2FVMambaConfig:
-    in_channels: int
-    out_channels: int
-    n: int = 1
-    strict_paper_concat: bool = True
-    expand: float = 1.0
-    d_state: int = 8
-
-    def __post_init__(self):
-        if self.out_channels % 2:
-            raise ShapeError(f"C2FVMamba: out_channels {self.out_channels} must be even")
-        if self.n < 1:
-            raise ShapeError(f"C2FVMamba: n {self.n} must be >= 1")
-
-    @property
-    def hidden(self) -> int:
-        return self.out_channels // 2
-
-    @property
-    def concat_width(self) -> int:
-        # strict: X1 + full Conv(X) + Y2 + (n-1) chain outputs = (n+3)*h
-        # conventional: X1 + X2 + n chain stages = (n+2)*h
-        h = self.hidden
-        return (self.n + 3) * h if self.strict_paper_concat else (self.n + 2) * h
-
-
 class C2FVMamba(Module):
     """C2F variant whose inner transforms are VSS blocks.
 
-    With strict_paper_concat the final 1x1 conv sees
-    Concat(X1, Conv(X), Y2, chain outputs) of width (n+3)*h; otherwise the
-    conventional C2F-style Concat(X1, X2, chain outputs) of width (n+2)*h.
+    With h = c_out/2, X1 and X2 are the halves of Conv(X) and Y2 = VSS(X2);
+    the final 1x1 conv sees Concat(X1, Conv(X), Y2, the n-1 further chain
+    outputs), of width (n+3)*h.
     """
 
-    def __init__(self, cfg: C2FVMambaConfig, rng=None, dtype=np.float64):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.cfg = cfg
-        h = cfg.hidden
-        self.cv1 = Conv(cfg.in_channels, 2 * h, 1, rng=rng, dtype=dtype)
-        vss_cfg = VSSConfig(h, expand=cfg.expand, d_state=cfg.d_state)
-        self.blocks = [VSS(vss_cfg, rng=rng, dtype=dtype) for _ in range(cfg.n)]
-        self.cv2 = Conv(cfg.concat_width, cfg.out_channels, 1, rng=rng, dtype=dtype)
+    def __init__(self, c_in, c_out, n=1, d_state=8, *, rng, dtype=np.float64):
+        if c_out % 2:
+            raise ShapeError(f"C2FVMamba: out_channels {c_out} must be even")
+        if n < 1:
+            raise ShapeError(f"C2FVMamba: n {n} must be >= 1")
+        self.c_in = c_in
+        self.h = h = c_out // 2
+        self.cv1 = Conv(c_in, 2 * h, 1, rng=rng, dtype=dtype)
+        self.blocks = [VSS(h, d_state, rng=rng, dtype=dtype) for _ in range(n)]
+        self.cv2 = Conv((n + 3) * h, c_out, 1, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        if x.data.shape[1] != self.cfg.in_channels:
-            raise ShapeError(f"C2FVMamba: input channels {x.data.shape[1]} != {self.cfg.in_channels}")
-        h = self.cfg.hidden
+        if x.data.shape[1] != self.c_in:
+            raise ShapeError(f"C2FVMamba: input channels {x.data.shape[1]} != {self.c_in}")
         conv_x = self.cv1(x)
-        x1, x2 = T.split(conv_x, [h, h])
-        y2 = self.blocks[0](x2)
-        chain = [y2]
+        x1, x2 = T.split(conv_x, [self.h, self.h])
+        chain = [self.blocks[0](x2)]
         for blk in self.blocks[1:]:
             chain.append(blk(chain[-1]))
-        if self.cfg.strict_paper_concat:
-            parts = [x1, conv_x] + chain
-        else:
-            parts = [x1, x2] + chain
-        return self.cv2(T.concat(parts))
+        return self.cv2(T.concat([x1, conv_x] + chain))
 
 
 # ---------------------------------------------------------------------------
 # channel attention
 
 
-def adaptive_kernel_size(channels: int, gamma: float = 2.0, b: float = 1.0) -> int:
-    """Nearest odd kernel to |log2(C)/gamma + b/gamma|, floored at 3."""
-    t = int(abs(math.log2(channels) / gamma + b / gamma))
+def adaptive_kernel_size(channels: int) -> int:
+    """ECA's kernel: nearest odd integer to |log2(C)/2 + 1/2|, floored at 3."""
+    t = int(abs(math.log2(channels) / 2.0 + 1.0 / 2.0))
     k = t if t % 2 else t + 1
     return max(k, 3)
-
-
-@dataclass
-class EMCAConfig:
-    channels: int
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.k is None:
-            self.k = adaptive_kernel_size(self.channels)
-        if self.k % 2 == 0 or self.k < 3:
-            raise ShapeError(f"EMCA: kernel size {self.k} must be odd and >= 3")
 
 
 class EMCA(Module):
     """Channel recalibration from dual global pooling.
 
     Per sample: descriptor = GAP + GMP over spatial positions, a 1-D
-    cross-channel convolution (no bias) and a sigmoid produce per-channel
-    weights in (0, 1) that rescale the input map.
+    cross-channel convolution (no bias) of adaptive_kernel_size(channels)
+    taps and a sigmoid produce per-channel weights in (0, 1) that rescale
+    the input map.
     """
 
-    def __init__(self, cfg: EMCAConfig, rng=None, dtype=np.float64):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.cfg = cfg
-        self.weight = _kaiming_uniform(rng, (cfg.k,), cfg.k, dtype)
+    def __init__(self, channels, *, rng, dtype=np.float64):
+        self.channels = channels
+        self.k = adaptive_kernel_size(channels)
+        self.weight = _kaiming_uniform(rng, (self.k,), self.k, dtype)
 
     def forward(self, x):
         n, c, h, w = x.data.shape
-        if c != self.cfg.channels:
-            raise ShapeError(f"EMCA: input channels {c} != {self.cfg.channels}")
+        if c != self.channels:
+            raise ShapeError(f"EMCA: input channels {c} != {self.channels}")
         desc = T.add(T.global_avg_pool(x), T.global_max_pool(x))
         a = T.sigmoid(T.conv1d(desc.reshape(n, c), self.weight))
         return T.mul(x, a.reshape(n, c, 1, 1))

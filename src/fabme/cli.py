@@ -2,27 +2,18 @@
 evaluation, benchmarking, gradient checking, and parameter counting.
 
 Every command writes a machine-readable result file and exits 0 on
-success, 1 on failure; diagnostics go to stderr.  The FABME_THREADS
-environment variable caps worker parallelism where a command supports it.
+success, 1 on failure; diagnostics go to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 __all__ = ["main"]
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FABME_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _out_dir(args) -> Path:
@@ -35,8 +26,7 @@ def cmd_tile(args) -> int:
     from fabme.data import tile_dataset
 
     try:
-        summary = tile_dataset(args.indir, args.out, tile=args.size, seed=args.seed,
-                               threads=_threads())
+        summary = tile_dataset(args.indir, args.out, tile=args.size, seed=args.seed)
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -174,7 +164,7 @@ def cmd_bench(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from fabme import tensor as T
-    from fabme.blocks import C2FVMamba, C2FVMambaConfig, EMCA, EMCAConfig, VSS, VSSConfig
+    from fabme.blocks import C2FVMamba, EMCA, VSS
     from fabme.scan import ScanParams, ss2d
     from fabme.tensor import Tensor, grad_check
 
@@ -188,15 +178,15 @@ def cmd_gradcheck(args) -> int:
         wrt = [x] + [t for _, t in p.named_parameters()]
         fn = lambda *ts: T.tsum(T.silu(ss2d(ts[0], p)))
     elif args.block == "vss":
-        blk = VSS(VSSConfig(4, d_state=2), rng=rng)
+        blk = VSS(4, d_state=2, rng=rng)
         wrt = [x] + [t for _, t in blk.named_parameters()]
         fn = lambda *ts: T.tsum(blk(ts[0]))
     elif args.block == "emca":
-        blk = EMCA(EMCAConfig(4, k=3), rng=rng)
+        blk = EMCA(4, rng=rng)
         wrt = [x, blk.weight]
         fn = lambda *ts: T.tsum(blk(ts[0]))
     else:
-        blk = C2FVMamba(C2FVMambaConfig(8, 8, n=2, d_state=2), rng=rng)
+        blk = C2FVMamba(8, 8, n=2, d_state=2, rng=rng)
         wrt = [x] + [t for _, t in blk.named_parameters()]
         fn = lambda *ts: T.tsum(blk(ts[0]))
     report = grad_check(fn, wrt, tol=args.tol)

@@ -10,13 +10,11 @@ memory within a few times the image.  Malformed files raise ValueError.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import struct
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +23,7 @@ import numpy as np
 __all__ = [
     "Annotation", "TileJob", "Sample",
     "plan_tiles", "remap_annotations", "plan_tile_job", "extract_tile",
-    "split_dataset", "read_labels", "write_labels", "read_coco", "read_key_values",
+    "split_dataset", "read_labels", "write_labels", "read_key_values",
     "read_ppm", "write_ppm", "read_png", "read_image", "load_image",
     "scan_dataset", "tile_dataset", "write_manifest", "category_stats",
 ]
@@ -64,7 +62,7 @@ class Annotation:
 
 
 # ---------------------------------------------------------------------------
-# YOLO / COCO label files
+# YOLO label files
 
 
 def read_labels(path) -> list[Annotation]:
@@ -95,26 +93,6 @@ def write_labels(path, anns):
     with open(path, "w") as f:
         for a in anns:
             f.write(f"{a.class_id - 1} {a.cx:.6f} {a.cy:.6f} {a.w:.6f} {a.h:.6f}\n")
-
-
-def read_coco(path) -> dict[str, list[Annotation]]:
-    """Read category/bbox fields of a COCO file and convert to normalized
-    annotations keyed by image file name."""
-    with open(path) as f:
-        doc = json.load(f)
-    images = {im["id"]: im for im in doc.get("images", [])}
-    out: dict[str, list[Annotation]] = {im["file_name"]: [] for im in images.values()}
-    for ann in doc.get("annotations", []):
-        im = images[ann["image_id"]]
-        x, y, w, h = ann["bbox"]
-        out[im["file_name"]].append(Annotation(
-            class_id=int(ann["category_id"]),
-            cx=(x + w / 2) / im["width"],
-            cy=(y + h / 2) / im["height"],
-            w=w / im["width"],
-            h=h / im["height"],
-        ))
-    return out
 
 
 def read_key_values(path, casts: dict, kind: str) -> dict:
@@ -157,12 +135,11 @@ def plan_tiles(img_w: int, img_h: int, tile: int = TILE_SIZE) -> list[tuple[int,
     return [(ox, oy) for oy in ys for ox in xs]
 
 
-def remap_annotations(anns, origin: tuple[int, int], tile: int, src_w: int, src_h: int,
-                      min_area_ratio: float = MIN_AREA_RATIO,
-                      min_px: float = MIN_CLIPPED_PX) -> list[Annotation]:
+def remap_annotations(anns, origin: tuple[int, int], tile: int, src_w: int,
+                      src_h: int) -> list[Annotation]:
     """Clip boxes to a tile and renormalize to its frame.  A clipped box is
-    kept iff clipped/original area >= min_area_ratio and both clipped sides
-    are >= min_px pixels."""
+    kept iff clipped/original area >= MIN_AREA_RATIO and both clipped sides
+    are >= MIN_CLIPPED_PX pixels."""
     ox, oy = origin
     out = []
     for a in anns:
@@ -172,9 +149,9 @@ def remap_annotations(anns, origin: tuple[int, int], tile: int, src_w: int, src_
         cw, ch = ix2 - ix1, iy2 - iy1
         if cw <= 0 or ch <= 0:
             continue
-        if cw * ch < min_area_ratio * (x2 - x1) * (y2 - y1):
+        if cw * ch < MIN_AREA_RATIO * (x2 - x1) * (y2 - y1):
             continue
-        if cw < min_px or ch < min_px:
+        if cw < MIN_CLIPPED_PX or ch < MIN_CLIPPED_PX:
             continue
         out.append(Annotation(
             class_id=a.class_id,
@@ -199,11 +176,10 @@ class TileJob:
 
 
 def plan_tile_job(source_id: str, src_w: int, src_h: int, anns,
-                  tile: int = TILE_SIZE, min_area_ratio: float = MIN_AREA_RATIO,
-                  min_px: float = MIN_CLIPPED_PX) -> TileJob:
+                  tile: int = TILE_SIZE) -> TileJob:
     job = TileJob(source_id=source_id, src_w=src_w, src_h=src_h, tile=tile)
     for origin in plan_tiles(src_w, src_h, tile):
-        kept = remap_annotations(anns, origin, tile, src_w, src_h, min_area_ratio, min_px)
+        kept = remap_annotations(anns, origin, tile, src_w, src_h)
         if kept:  # discard defect-free tiles
             job.origins.append(origin)
             job.annotations.append(kept)
@@ -222,12 +198,11 @@ def extract_tile(img: np.ndarray, origin: tuple[int, int], tile: int) -> np.ndar
     return sub
 
 
-def split_dataset(items, seed: int = 0, ratio: tuple[int, int] = (4, 1)):
-    """Deterministic split by whole items (source images), within one item
-    of the requested ratio."""
+def split_dataset(items, seed: int = 0):
+    """Deterministic 4:1 train/val split by whole items (source images),
+    within one item of that ratio."""
     items = list(items)
-    frac = ratio[1] / (ratio[0] + ratio[1])
-    n_val = int(round(len(items) * frac))
+    n_val = round(len(items) / 5)
     perm = np.random.default_rng(seed).permutation(len(items))
     val_idx = set(perm[:n_val].tolist())
     train = [it for i, it in enumerate(items) if i not in val_idx]
@@ -473,9 +448,7 @@ def category_stats(train_samples, val_samples, classes: int = 20):
     return rows
 
 
-def tile_dataset(in_dir, out_dir, tile: int = TILE_SIZE, seed: int = 0,
-                 min_area_ratio: float = MIN_AREA_RATIO, min_px: float = MIN_CLIPPED_PX,
-                 threads: int = 1) -> dict:
+def tile_dataset(in_dir, out_dir, tile: int = TILE_SIZE, seed: int = 0) -> dict:
     """Tile every source image, keep annotated tiles only, split 4:1 by
     source image, and write tiles (PPM), labels, manifest and stats."""
     sources = scan_dataset(in_dir)
@@ -492,7 +465,7 @@ def tile_dataset(in_dir, out_dir, tile: int = TILE_SIZE, seed: int = 0,
     def process(src: Sample):
         img = read_image(src.image_path)
         h, w = img.shape[:2]
-        job = plan_tile_job(src.image_id, w, h, src.annotations, tile, min_area_ratio, min_px)
+        job = plan_tile_job(src.image_id, w, h, src.annotations, tile)
         part = part_of[src.image_id]
         rows, tiles = [], []
         for origin, anns in zip(job.origins, job.annotations):
@@ -503,16 +476,9 @@ def tile_dataset(in_dir, out_dir, tile: int = TILE_SIZE, seed: int = 0,
             tiles.append(Sample(tile_id, out_dir / part / "images" / f"{tile_id}.ppm", anns))
         return part, rows, tiles
 
-    results = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(process, sources))
-    else:
-        results = [process(s) for s in sources]
-
     manifest_rows = []
     tiles_by_part = {"train": [], "val": []}
-    for part, rows, tiles in results:
+    for part, rows, tiles in map(process, sources):
         manifest_rows.extend(rows)
         tiles_by_part[part].extend(tiles)
     manifest_rows.sort(key=lambda r: r[0])

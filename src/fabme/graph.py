@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fabme import tensor as T
-from fabme.blocks import (
-    C2F, C2FVMamba, C2FVMambaConfig, Conv, EMCA, EMCAConfig, Module, SPPF,
-    block_rng,
-)
+from fabme.blocks import C2F, C2FVMamba, Conv, EMCA, Module, SPPF, block_rng
 from fabme.data import read_key_values
 from fabme.metrics import Detection, pairwise_iou
 from fabme.tensor import NonFiniteError, ShapeError, Tensor, _expit
@@ -51,6 +48,9 @@ _BASE_WIDTHS = (64, 128, 256, 512, 1024)
 _BASE_DEPTHS = (3, 6, 6, 3)
 _BASE_NECK_DEPTH = 3
 
+IN_CHANNELS = 3  # read_image always returns RGB
+DTYPES = {"float32": np.float32, "float64": np.float64}
+
 
 @dataclass
 class GraphSpec:
@@ -62,11 +62,7 @@ class GraphSpec:
     vmamba_position: str = "none"
     num_classes: int = 20
     input_size: int = 640
-    in_channels: int = 3
     seed: int = 0
-    d_state: int = 8
-    ssm_expand: float = 1.0
-    strict_paper_concat: bool = True
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -74,8 +70,13 @@ class GraphSpec:
             raise ValueError(
                 f"invalid vmamba_position {self.vmamba_position!r}; expected one of {NECK_POSITIONS}"
             )
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+        if not 1 <= self.num_classes <= 20:  # Annotation's class ids are 1..20
+            raise ValueError(f"num_classes {self.num_classes} out of range 1..20")
+        for key, high in (("width_mult", 1.25), ("depth_mult", 1.0)):  # YOLOv8 n through x
+            if not 0.0 < getattr(self, key) <= high:
+                raise ValueError(f"{key} {getattr(self, key)} out of range (0, {high}]")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype {self.dtype!r} not one of {tuple(DTYPES)}")
 
     @staticmethod
     def preset(scale: str = "s", **overrides) -> "GraphSpec":
@@ -94,7 +95,7 @@ class GraphSpec:
         return max(1, round(_BASE_NECK_DEPTH * self.depth_mult))
 
     def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
+        return DTYPES[self.dtype]
 
     def to_file(self, path):
         with open(path, "w") as f:
@@ -103,7 +104,11 @@ class GraphSpec:
 
     @staticmethod
     def from_file(path) -> "GraphSpec":
-        return GraphSpec(**read_key_values(path, _SPEC_CASTS, "graph config"))
+        values = read_key_values(path, _SPEC_CASTS, "graph config")
+        try:
+            return GraphSpec(**values)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def _parse_bool(s: str) -> bool:
@@ -115,10 +120,8 @@ def _parse_bool(s: str) -> bool:
 
 
 _SPEC_CASTS = {
-    "width_mult": float, "depth_mult": float, "ssm_expand": float,
-    "emca_enabled": _parse_bool, "strict_paper_concat": _parse_bool,
-    "num_classes": int, "input_size": int, "in_channels": int,
-    "seed": int, "d_state": int,
+    "width_mult": float, "depth_mult": float, "emca_enabled": _parse_bool,
+    "num_classes": int, "input_size": int, "seed": int,
     "vmamba_position": str, "dtype": str,
 }
 
@@ -160,7 +163,7 @@ class FabMEModel(Module):
         def conv(path, *a, **kw):
             return Conv(*a, rng=block_rng(seed, path), dtype=dtype, **kw)
 
-        self.stem = conv("stem", spec.in_channels, w0, 3, 2)
+        self.stem = conv("stem", IN_CHANNELS, w0, 3, 2)
         self.down1 = conv("down1", w0, w1, 3, 2)
         self.stage1 = C2F(w1, w1, n1, shortcut=True, rng=block_rng(seed, "stage1"), dtype=dtype)
         self.down2 = conv("down2", w1, w2, 3, 2)
@@ -170,16 +173,11 @@ class FabMEModel(Module):
         self.down4 = conv("down4", w3, w4, 3, 2)
         self.stage4 = C2F(w4, w4, n4, shortcut=True, rng=block_rng(seed, "stage4"), dtype=dtype)
         self.sppf = SPPF(w4, w4, rng=block_rng(seed, "sppf"), dtype=dtype)
-        self.emca = EMCA(EMCAConfig(w4), rng=block_rng(seed, "emca"), dtype=dtype) if spec.emca_enabled else None
+        self.emca = EMCA(w4, rng=block_rng(seed, "emca"), dtype=dtype) if spec.emca_enabled else None
 
         def neck_block(path, c_in, c_out):
             if spec.vmamba_position == path:
-                cfg = C2FVMambaConfig(
-                    c_in, c_out, n=nn,
-                    strict_paper_concat=spec.strict_paper_concat,
-                    expand=spec.ssm_expand, d_state=spec.d_state,
-                )
-                return C2FVMamba(cfg, rng=block_rng(seed, path), dtype=dtype)
+                return C2FVMamba(c_in, c_out, nn, rng=block_rng(seed, path), dtype=dtype)
             return C2F(c_in, c_out, nn, shortcut=False, rng=block_rng(seed, path), dtype=dtype)
 
         self.neck1 = neck_block("c2f1", w4 + w3, w3)
@@ -195,8 +193,8 @@ class FabMEModel(Module):
 
     def forward(self, x: Tensor) -> list[Tensor]:
         n, c, h, w = x.data.shape
-        if c != self.spec.in_channels:
-            raise ShapeError(f"forward: input channels {c} != {self.spec.in_channels}")
+        if c != IN_CHANNELS:
+            raise ShapeError(f"forward: input channels {c} != {IN_CHANNELS}")
         if h % 32 or w % 32:
             raise ShapeError(f"forward: input resolution {h}x{w} must be divisible by 32")
         y = self.stem(x)

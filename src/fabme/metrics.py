@@ -62,10 +62,6 @@ class EvalReport:
     per_class: dict[int, ClassAP]
     map50: float
 
-    @property
-    def n_fn(self) -> int:
-        return sum(c.n_gt - c.n_tp for c in self.per_class.values())
-
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every corner box in a (m, 4) against every one in b (k, 4),

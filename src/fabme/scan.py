@@ -22,8 +22,7 @@ from fabme.tensor import (
 )
 
 __all__ = [
-    "DIRECTIONS", "DirectionalSequence", "ScanParams",
-    "cross_scan", "flatten_direction", "unflatten_direction",
+    "DIRECTIONS", "ScanParams", "flatten_direction", "unflatten_direction",
     "selective_scan_1d", "ss2d",
 ]
 
@@ -51,17 +50,6 @@ def direction_perm(h: int, w: int, direction: str) -> np.ndarray:
         raise ValueError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
     _PERM_CACHE[key] = perm
     return perm
-
-
-@dataclass
-class DirectionalSequence:
-    """One direction's token sequence (n, L, d_model) plus the map dims
-    needed to invert the flattening."""
-
-    direction: str
-    tokens: Tensor
-    h: int
-    w: int
 
 
 def flatten_direction(x: Tensor, direction: str) -> Tensor:
@@ -95,15 +83,6 @@ def unflatten_direction(seq: Tensor, direction: str, h: int, w: int) -> Tensor:
     return _node(out, (seq,), backward, "unflatten_direction")
 
 
-def cross_scan(x: Tensor) -> list[DirectionalSequence]:
-    """Decompose a feature map into the four directional token sequences;
-    each is a permutation of the same h*w tokens."""
-    n, c, h, w = x.data.shape
-    if h * w < 1:
-        raise ShapeError("cross_scan: empty spatial extent")
-    return [DirectionalSequence(d, flatten_direction(x, d), h, w) for d in DIRECTIONS]
-
-
 @dataclass
 class ScanParams:
     """Learnable state-space parameters shared by the four scan directions.
@@ -125,12 +104,9 @@ class ScanParams:
     dt_bias: Tensor    # (d_model,)
 
     @staticmethod
-    def create(d_model: int, d_state: int = 8, dt_rank: int | None = None,
-               rng: np.random.Generator | None = None, dtype=np.float64) -> "ScanParams":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        if dt_rank is None:
-            dt_rank = max(1, -(-d_model // 16))
+    def create(d_model: int, d_state: int = 8, *, rng: np.random.Generator,
+               dtype=np.float64) -> "ScanParams":
+        dt_rank = max(1, -(-d_model // 16))  # ceil(d_model / 16)
         bound = 1.0 / np.sqrt(d_model)
 
         def u(shape, b):
@@ -205,11 +181,8 @@ def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Te
 
 
 def selective_scan_1d(seq: Tensor, p: ScanParams) -> Tensor:
-    """Run the selective state-space recurrence over one token sequence
-    (n, L, d_model) or (L, d_model); shape is preserved."""
-    squeeze = seq.data.ndim == 2
-    if squeeze:
-        seq = seq.reshape((1,) + seq.data.shape)
+    """Run the selective state-space recurrence over token sequences
+    (n, L, d_model); shape is preserved."""
     n, L, d = seq.data.shape
     if d != p.d_model:
         raise ShapeError(f"selective_scan_1d: token width {d} != d_model {p.d_model}")
@@ -226,20 +199,22 @@ def selective_scan_1d(seq: Tensor, p: ScanParams) -> Tensor:
     A = neg(exp(p.a_log))
     B = linear(seq, p.w_b)
     C = linear(seq, p.w_c)
-    y = selective_scan(seq, dt, A, B, C, p.d_skip)
-    return y.reshape(y.data.shape[1:]) if squeeze else y
+    return selective_scan(seq, dt, A, B, C, p.d_skip)
 
 
 def ss2d(x: Tensor, p: ScanParams) -> Tensor:
-    """Cross-scan, per-direction selective scan, inverse-flatten, and sum.
+    """Flatten the map in each of the four DIRECTIONS, run the selective
+    scan over each token sequence, inverse-flatten, and sum.
 
     Output shape equals input shape (n, d_model, h, w).
     """
     n, c, h, w = x.data.shape
     if c != p.d_model:
         raise ShapeError(f"ss2d: input channels {c} != d_model {p.d_model}")
+    if h * w < 1:
+        raise ShapeError("ss2d: empty spatial extent")
     out = None
-    for s in cross_scan(x):
-        m = unflatten_direction(selective_scan_1d(s.tokens, p), s.direction, s.h, s.w)
+    for d in DIRECTIONS:
+        m = unflatten_direction(selective_scan_1d(flatten_direction(x, d), p), d, h, w)
         out = m if out is None else add(out, m)
     return out

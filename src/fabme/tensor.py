@@ -112,9 +112,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self):
         self.grad = None
 
@@ -453,26 +450,21 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 1) -> list[Tensor]:
     return outs
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight.T + bias over the last axis; weight is (out, in)."""
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """x @ weight.T over the last axis; weight is (out, in)."""
     if x.data.shape[-1] != weight.data.shape[1]:
         raise ShapeError(
             f"linear: input features {x.data.shape[-1]} != weight in-features {weight.data.shape[1]}"
         )
     out = x.data @ weight.data.T
-    if bias is not None:
-        out = out + bias.data
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
         gl = g.reshape(-1, weight.data.shape[0])
         xl = x.data.reshape(-1, weight.data.shape[1])
         _acc(x, (g @ weight.data).reshape(x.data.shape))
         _acc(weight, gl.T @ xl)
-        if bias is not None:
-            _acc(bias, gl.sum(axis=0))
 
-    return _node(out, parents, backward, "linear")
+    return _node(out, (x, weight), backward, "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +484,10 @@ class ConvSpec:
     bias: bool = True
 
     def __post_init__(self):
+        if min(self.in_channels, self.out_channels) < 1:
+            raise ShapeError(
+                f"ConvSpec: channels {self.in_channels} -> {self.out_channels} must be >= 1"
+            )
         if self.in_channels % self.groups != 0:
             raise ShapeError(
                 f"ConvSpec: in_channels {self.in_channels} not divisible by groups {self.groups}"
@@ -662,34 +658,28 @@ def conv_norm_silu(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | Non
 def conv1d(x: Tensor, weight: Tensor) -> Tensor:
     """Same-padded 1-D cross-correlation along the channel axis.
 
-    x is a channel vector (C,) or a batch of them (n, C); the kernel must
-    have odd length so output length equals C.
+    x is a batch of channel vectors (n, C); the kernel must have odd length
+    so output length equals C.
     """
     k = weight.data.shape[0]
     if weight.data.ndim != 1:
         raise ShapeError(f"conv1d: weight must be 1-D, got shape {weight.data.shape}")
     if k % 2 == 0:
         raise ShapeError(f"conv1d: kernel size {k} must be odd")
-    squeeze = x.data.ndim == 1
-    xd = x.data[None, :] if squeeze else x.data
-    if xd.ndim != 2:
-        raise ShapeError(f"conv1d: input must be (C,) or (n, C), got {x.data.shape}")
-    n, c = xd.shape
+    if x.data.ndim != 2:
+        raise ShapeError(f"conv1d: input must be (n, C), got {x.data.shape}")
+    n, c = x.data.shape
     p = k // 2
-    xp = np.pad(xd, ((0, 0), (p, p)))
+    xp = np.pad(x.data, ((0, 0), (p, p)))
     win = np.stack([xp[:, j:j + c] for j in range(k)], axis=-1)  # (n, C, k)
     out = win @ weight.data
-    if squeeze:
-        out = out[0]
 
     def backward(g):
-        gd = g[None, :] if squeeze else g
         gxp = np.zeros_like(xp)
         for j in range(k):
-            gxp[:, j:j + c] += gd * weight.data[j]
-        gx = gxp[:, p:p + c]
-        _acc(x, gx[0] if squeeze else gx)
-        _acc(weight, np.einsum("nc,nck->k", gd, win))
+            gxp[:, j:j + c] += g * weight.data[j]
+        _acc(x, gxp[:, p:p + c])
+        _acc(weight, np.einsum("nc,nck->k", g, win))
 
     return _node(out, (x, weight), backward, "conv1d")
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from fabme import tensor as T
 from fabme.blocks import (
-    C2F, C2FVMamba, C2FVMambaConfig, Conv, Bottleneck, EMCA, EMCAConfig,
-    SPPF, VSS, VSSConfig, adaptive_kernel_size, load_checkpoint,
-    load_into, save_checkpoint,
+    C2F, C2FVMamba, Conv, Bottleneck, EMCA, SPPF, VSS, adaptive_kernel_size,
+    load_checkpoint, load_into, save_checkpoint,
 )
 from fabme.tensor import ShapeError, Tensor
 
@@ -59,24 +58,24 @@ class TestBottleneckC2FSPPF:
 
 class TestVSS:
     def test_zero_fixed_point(self, rng):
-        vss = VSS(VSSConfig(8), rng=rng)
+        vss = VSS(8, rng=rng)
         out = vss(Tensor(np.zeros((1, 8, 4, 4))))
         assert np.allclose(out.data, 0.0, atol=1e-15)
 
     def test_preserves_shape(self, rng):
-        vss = VSS(VSSConfig(32), rng=rng)
+        vss = VSS(32, rng=rng)
         x = Tensor(rng.standard_normal((1, 32, 8, 8)))
         assert vss(x).data.shape == (1, 32, 8, 8)
 
     def test_channel_mismatch_rejected(self, rng):
-        vss = VSS(VSSConfig(8), rng=rng)
+        vss = VSS(8, rng=rng)
         with pytest.raises(ShapeError, match="channels"):
             vss(Tensor(rng.standard_normal((1, 4, 4, 4))))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradcheck(self, seed):
         rng = np.random.default_rng(seed)
-        vss = VSS(VSSConfig(4, d_state=2), rng=rng)
+        vss = VSS(4, d_state=2, rng=rng)
         x = Tensor(rng.standard_normal((1, 4, 3, 3)) * 0.5)
         rep = T.grad_check(lambda *ts: T.tsum(vss(ts[0])), [x] + _params(vss))
         assert rep.passed, str(rep)
@@ -84,36 +83,35 @@ class TestVSS:
 
 class TestC2FVMamba:
     @pytest.mark.parametrize("n,h", [(1, 4), (2, 4), (3, 4), (1, 8), (2, 8), (3, 8)])
-    def test_concat_width_rule(self, n, h):
-        cfg = C2FVMambaConfig(2 * h, 2 * h, n=n)
-        assert cfg.concat_width == (n + 3) * h
+    def test_concat_width_rule(self, rng, n, h):
+        assert C2FVMamba(2 * h, 2 * h, n=n, rng=rng).cv2.spec.in_channels == (n + 3) * h
 
     def test_n1_example_widths(self, rng):
         # h=4: X1(4) + Conv(X)(8) + Y2(4) = 16 channels into the last conv
-        m = C2FVMamba(C2FVMambaConfig(8, 8, n=1), rng=rng)
+        m = C2FVMamba(8, 8, n=1, rng=rng)
         assert m.cv2.spec.in_channels == 16
 
     def test_n2_example_widths(self, rng):
-        m = C2FVMamba(C2FVMambaConfig(8, 8, n=2), rng=rng)
+        m = C2FVMamba(8, 8, n=2, rng=rng)
         assert m.cv2.spec.in_channels == 20
 
-    def test_conventional_concat_variant(self, rng):
-        m = C2FVMamba(C2FVMambaConfig(8, 8, n=2, strict_paper_concat=False), rng=rng)
-        assert m.cv2.spec.in_channels == (2 + 2) * 4
-
     def test_spatial_dims_preserved(self, rng):
-        m = C2FVMamba(C2FVMambaConfig(8, 12, n=2), rng=rng)
+        m = C2FVMamba(8, 12, n=2, rng=rng)
         x = Tensor(rng.standard_normal((2, 8, 5, 5)))
         assert m(x).data.shape == (2, 12, 5, 5)
 
-    def test_odd_out_channels_rejected(self):
+    def test_odd_out_channels_rejected(self, rng):
         with pytest.raises(ShapeError, match="even"):
-            C2FVMambaConfig(8, 7)
+            C2FVMamba(8, 7, rng=rng)
+
+    def test_zero_depth_rejected(self, rng):
+        with pytest.raises(ShapeError, match="n 0 must be >= 1"):
+            C2FVMamba(8, 8, n=0, rng=rng)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradcheck_end_to_end(self, seed):
         rng = np.random.default_rng(seed)
-        m = C2FVMamba(C2FVMambaConfig(8, 8, n=2, d_state=2), rng=rng)
+        m = C2FVMamba(8, 8, n=2, d_state=2, rng=rng)
         x = Tensor(rng.standard_normal((1, 8, 4, 4)) * 0.5)
         rep = T.grad_check(lambda *ts: T.tsum(m(ts[0])), [x] + _params(m))
         assert rep.passed, str(rep)
@@ -121,14 +119,14 @@ class TestC2FVMamba:
 
 class TestEMCA:
     def test_zero_input_half_attention(self, rng):
-        emca = EMCA(EMCAConfig(8, k=3), rng=rng)
+        emca = EMCA(8, rng=rng)
         out = emca(Tensor(np.zeros((1, 8, 3, 3))))
         assert np.allclose(out.data, 0.0)
 
     def test_constant_per_channel_fixture(self, rng):
         # identity kernel: out channel c == sigmoid(2 m_c) * m_c
         means = np.array([1.0, 2.0, 3.0, 4.0])
-        emca = EMCA(EMCAConfig(4, k=3), rng=rng)
+        emca = EMCA(4, rng=rng)
         emca.weight.data = np.array([0.0, 1.0, 0.0])
         x = Tensor(np.broadcast_to(means[None, :, None, None], (1, 4, 5, 5)).copy())
         out = emca(x).data
@@ -136,13 +134,13 @@ class TestEMCA:
         assert np.abs(out[0, :, 0, 0] - want).max() < 1e-12
 
     def test_shape_preserved(self, rng):
-        emca = EMCA(EMCAConfig(8), rng=rng)
+        emca = EMCA(8, rng=rng)
         x = Tensor(rng.standard_normal((2, 8, 16, 16)))
         assert emca(x).data.shape == (2, 8, 16, 16)
 
     def test_weights_strictly_in_unit_interval(self, rng):
         # strict (0,1) up to float64 saturation of the sigmoid
-        emca = EMCA(EMCAConfig(6, k=3), rng=rng)
+        emca = EMCA(6, rng=rng)
         for scale in (0.1, 1.0, 5.0):
             x = Tensor(rng.standard_normal((3, 6, 4, 4)) * scale)
             desc = T.add(T.global_avg_pool(x), T.global_max_pool(x))
@@ -150,7 +148,7 @@ class TestEMCA:
             assert np.all(a.data > 0.0) and np.all(a.data < 1.0)
 
     def test_monotone_in_channel_with_identity_kernel(self, rng):
-        emca = EMCA(EMCAConfig(4, k=3), rng=rng)
+        emca = EMCA(4, rng=rng)
         emca.weight.data = np.array([0.0, 1.0, 0.0])
         x = rng.standard_normal((1, 4, 5, 5))
         for c in range(4):
@@ -161,9 +159,9 @@ class TestEMCA:
             assert a1[0, c] >= a0[0, c]
 
     def test_permutation_equivariance_k1(self, rng):
-        # k must be odd >= 3 by config; per-channel behaviour is tested via
+        # k is odd >= 3; per-channel behaviour is tested via
         # a delta kernel, which reduces conv1d to an independent channel map
-        emca = EMCA(EMCAConfig(5, k=3), rng=rng)
+        emca = EMCA(5, rng=rng)
         emca.weight.data = np.array([0.0, 0.7, 0.0])
         x = rng.standard_normal((1, 5, 4, 4))
         perm = np.random.default_rng(0).permutation(5)
@@ -181,7 +179,7 @@ class TestEMCA:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradcheck(self, seed):
         rng = np.random.default_rng(seed)
-        emca = EMCA(EMCAConfig(4, k=3), rng=rng)
+        emca = EMCA(4, rng=rng)
         x = Tensor(rng.standard_normal((2, 4, 3, 3)))
         rep = T.grad_check(lambda *ts: T.tsum(emca(ts[0])), [x, emca.weight])
         assert rep.passed, str(rep)
@@ -195,10 +193,10 @@ def _attention(emca, x):
 
 class TestCheckpoint:
     def test_roundtrip_preserves_values(self, rng, tmp_path):
-        vss = VSS(VSSConfig(8), rng=rng)
+        vss = VSS(8, rng=rng)
         path = tmp_path / "m.fabck"
         save_checkpoint(path, vss.named_parameters())
-        other = VSS(VSSConfig(8), rng=np.random.default_rng(999))
+        other = VSS(8, rng=np.random.default_rng(999))
         load_into(other, path)
         for (na, a), (nb, b) in zip(vss.named_parameters(), other.named_parameters()):
             assert na == nb and np.array_equal(a.data, b.data)

@@ -52,21 +52,6 @@ class TestTile:
         assert main(["tile", "--in", str(empty), "--out", str(tmp_path / "o")]) == 1
         assert "no images found" in capsys.readouterr().err
 
-    def test_threads_env_var(self, tmp_path, rng, monkeypatch):
-        src = tmp_path / "src"
-        (src / "images").mkdir(parents=True)
-        (src / "labels").mkdir(parents=True)
-        for i in range(3):
-            img = (rng.random((700, 700, 3)) * 255).astype(np.uint8)
-            D.write_ppm(src / "images" / f"s{i}.ppm", img)
-            D.write_labels(src / "labels" / f"s{i}.txt", [D.Annotation(1, 0.5, 0.5, 0.1, 0.1)])
-        out_serial, out_threaded = tmp_path / "a", tmp_path / "b"
-        assert main(["tile", "--in", str(src), "--out", str(out_serial)]) == 0
-        monkeypatch.setenv("FABME_THREADS", "3")
-        assert main(["tile", "--in", str(src), "--out", str(out_threaded)]) == 0
-        assert ((out_serial / "manifest.csv").read_text()
-                == (out_threaded / "manifest.csv").read_text())
-
 
 class TestParams:
     def test_fabme_not_heavier_than_baseline(self, tmp_path, capsys):

@@ -537,18 +537,6 @@ class TestHostileImages:
         assert np.array_equal(D.load_image(path), img.astype(np.float64).transpose(2, 0, 1) / 255.0)
 
 
-class TestCoco:
-    def test_bbox_conversion(self, tmp_path):
-        import json
-        doc = {"images": [{"id": 1, "file_name": "a.ppm", "width": 100, "height": 200}],
-               "annotations": [{"image_id": 1, "category_id": 3, "bbox": [10, 20, 30, 40]}]}
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(doc))
-        (a,) = D.read_coco(p)["a.ppm"]
-        assert a.class_id == 3
-        assert (a.cx, a.cy, a.w, a.h) == pytest.approx((0.25, 0.2, 0.3, 0.2))
-
-
 class TestTileDataset:
     def _write_source(self, root, rng, name="src0", w=1300, h=700, n_boxes=5):
         (root / "images").mkdir(parents=True, exist_ok=True)
@@ -597,12 +585,3 @@ class TestTileDataset:
         empty.mkdir()
         with pytest.raises(FileNotFoundError, match="no images"):
             D.tile_dataset(empty, tmp_path / "out")
-
-    def test_threaded_matches_serial(self, rng, tmp_path):
-        src = tmp_path / "src"
-        for i in range(4):
-            self._write_source(src, rng, name=f"s{i}")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        D.tile_dataset(src, out_a, seed=0, threads=1)
-        D.tile_dataset(src, out_b, seed=0, threads=3)
-        assert (out_a / "manifest.csv").read_text() == (out_b / "manifest.csv").read_text()

@@ -60,6 +60,39 @@ class TestSpecsAndPresets:
         with pytest.raises(ValueError, match="unknown graph config key"):
             GraphSpec.from_file(path)
 
+    def test_config_file_rejects_removed_key(self, tmp_path):
+        path = tmp_path / "old.spec"
+        path.write_text("width_mult=0.125\nstrict_paper_concat=True\n")
+        with pytest.raises(ValueError,
+                           match="old.spec:2: unknown graph config key 'strict_paper_concat'"):
+            GraphSpec.from_file(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("dtype", "float16"), ("dtype", "int8"),
+        ("width_mult", "0"), ("width_mult", "1.5"), ("width_mult", "nan"), ("width_mult", "-1"),
+        ("depth_mult", "0"), ("depth_mult", "1.01"), ("depth_mult", "inf"),
+        ("num_classes", "0"), ("num_classes", "21"), ("num_classes", "100000000"),
+    ])
+    def test_config_file_rejects_hostile_value(self, tmp_path, key, value):
+        import tracemalloc
+
+        path = tmp_path / "hostile.spec"
+        path.write_text(f"width_mult=0.125\ndepth_mult=0.1667\n{key}={value}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"hostile.spec: {key} "):
+                GraphSpec.from_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match=f"^{key} "):
+            GraphSpec(**{key: type(getattr(GraphSpec(), key))(value)})
+
+    def test_vanishing_width_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="must be >= 1"):
+            build_graph(GraphSpec(width_mult=0.001))
+
 
 class TestForward:
     def test_nano_head_map_sizes(self, rng):
@@ -84,9 +117,9 @@ class TestForward:
 
 
 class TestParamCounts:
-    def test_tiny_conv_counting(self):
+    def test_tiny_conv_counting(self, rng):
         from fabme.blocks import Conv
-        conv = Conv(4, 8, 1, act=False)
+        conv = Conv(4, 8, 1, act=False, rng=rng)
         assert sum(t.data.size for _, t in conv.named_parameters()) == 4 * 8 + 8
 
     def test_s_scale_window(self):
@@ -101,7 +134,7 @@ class TestParamCounts:
     def test_emca_toggle_changes_exactly_k(self):
         base = build_graph(variant_spec("baseline", "s"))
         emca = build_graph(variant_spec("emca-only", "s"))
-        k = emca.emca.cfg.k
+        k = emca.emca.k
         assert count_params(emca) - count_params(base) == k
 
     def test_emca_toggle_leaves_other_params_identical(self):

@@ -5,7 +5,7 @@ import pytest
 
 from fabme import tensor as T
 from fabme.scan import (
-    DIRECTIONS, ScanParams, cross_scan, direction_perm, flatten_direction,
+    DIRECTIONS, ScanParams, direction_perm, flatten_direction,
     selective_scan, selective_scan_1d, ss2d, unflatten_direction,
 )
 from fabme.tensor import Tensor
@@ -22,11 +22,10 @@ class TestCrossScan:
 
     def test_single_token(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 1, 1)))
-        seqs = cross_scan(x)
-        assert len(seqs) == 4
-        for s in seqs:
-            assert s.tokens.data.shape == (1, 1, 3)
-            assert np.array_equal(s.tokens.data[0, 0], x.data[0, :, 0, 0])
+        for d in DIRECTIONS:
+            tokens = flatten_direction(x, d)
+            assert tokens.data.shape == (1, 1, 3)
+            assert np.array_equal(tokens.data[0, 0], x.data[0, :, 0, 0])
 
     def test_inverse_exhaustive_up_to_4(self):
         for h in range(1, 5):
@@ -164,8 +163,8 @@ class TestSS2D:
         p = ScanParams.create(4, d_state=2, rng=rng)
         p.a_log.data[:] = np.log(1e9)  # A = -1e9 -> Abar ~ 0
         x = Tensor(rng.standard_normal((1, 4, 3, 3)))
-        outs = [unflatten_direction(selective_scan_1d(s.tokens, p), s.direction, s.h, s.w).data
-                for s in cross_scan(x)]
+        outs = [unflatten_direction(selective_scan_1d(flatten_direction(x, d), p), d, 3, 3).data
+                for d in DIRECTIONS]
         for o in outs[1:]:
             assert np.allclose(outs[0], o, atol=1e-12)
         assert np.allclose(ss2d(x, p).data, 4.0 * outs[0], atol=1e-10)
@@ -174,6 +173,11 @@ class TestSS2D:
         p = ScanParams.create(4, rng=rng)
         with pytest.raises(T.ShapeError, match="d_model"):
             ss2d(Tensor(rng.standard_normal((1, 3, 2, 2))), p)
+
+    def test_empty_map_rejected(self, rng):
+        p = ScanParams.create(4, rng=rng)
+        with pytest.raises(T.ShapeError, match="empty spatial extent"):
+            ss2d(Tensor(np.zeros((1, 4, 0, 3))), p)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ss2d_full_gradcheck(self, seed):

@@ -221,21 +221,21 @@ class TestConvNormSilu:
 
 class TestConv1d:
     def test_identity_kernel(self, rng):
-        v = rng.standard_normal(7)
+        v = rng.standard_normal((1, 7))
         out = T.conv1d(Tensor(v), Tensor(np.array([0.0, 1.0, 0.0])))
         assert np.allclose(out.data, v)
 
     def test_box_kernel(self):
-        out = T.conv1d(Tensor(np.ones(4)), Tensor(np.ones(3)))
-        assert np.array_equal(out.data, [2.0, 3.0, 3.0, 2.0])
+        out = T.conv1d(Tensor(np.ones((1, 4))), Tensor(np.ones(3)))
+        assert np.array_equal(out.data, [[2.0, 3.0, 3.0, 2.0]])
 
     def test_length_one(self):
-        out = T.conv1d(Tensor(np.array([5.0])), Tensor(np.array([0.3, 0.7, 0.9])))
-        assert np.allclose(out.data, [5.0 * 0.7])
+        out = T.conv1d(Tensor(np.array([[5.0]])), Tensor(np.array([0.3, 0.7, 0.9])))
+        assert np.allclose(out.data, [[5.0 * 0.7]])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
-            T.conv1d(Tensor(np.ones(4)), Tensor(np.ones(2)))
+            T.conv1d(Tensor(np.ones((1, 4))), Tensor(np.ones(2)))
 
     def test_batched_gradcheck(self, rng):
         x = Tensor(rng.standard_normal((3, 6)))
