@@ -69,20 +69,20 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Ten
 class Conv(Module):
     """Conv2d with YOLO-style same padding (k // 2).  An activated convolution
     (act) is normalized per channel over spatial positions and passed
-    through SiLU, as one tape op; a bare projection or predictor is
-    neither."""
+    through SiLU, as one tape op, and has no bias: the norm cancels it.  A
+    bare projection or predictor is neither normalized nor activated, and
+    keeps its bias."""
 
     def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act=True, *, rng,
                  dtype=np.float64):
         self.spec = ConvSpec(c_in, c_out, (k, k), stride=stride, padding=k // 2, groups=groups)
         self.weight = _kaiming_uniform(rng, (c_out, c_in // groups, k, k), (c_in // groups) * k * k, dtype)
-        self.bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
+        self.bias = None if act else Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
         self.norm = ChannelNorm(c_out, dtype=dtype) if act else None
-        self.act = act
 
     def forward(self, x):
-        if self.act:
-            return T.conv_norm_silu(x, self.spec, self.weight, self.bias, self.norm.gain, self.norm.bias)
+        if self.norm is not None:
+            return T.conv_norm_silu(x, self.spec, self.weight, self.norm.gain, self.norm.bias)
         return T.conv2d(x, self.spec, self.weight, self.bias)
 
 
@@ -243,8 +243,42 @@ class EMCA(Module):
 
 
 # ---------------------------------------------------------------------------
-# parameter checkpoints: flat ordered (name, shape, f64 payload) records,
-# each payload in the tensor snapshot format
+# parameter checkpoints: flat ordered records, each a u32 name length, the
+# UTF-8 name and a tensor snapshot: magic "FABT", u32 rank, u32 dims...,
+# little-endian f64 payload
+
+
+def _write_snapshot(f, array: np.ndarray):
+    arr = np.asarray(array, dtype="<f8")  # ascontiguousarray would make 0-d 1-d
+    f.write(b"FABT")
+    f.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+    f.write(arr.tobytes())
+
+
+def _read_snapshot(f) -> np.ndarray:
+    """Inverse of _write_snapshot; returns a float64 array.  A malformed
+    snapshot raises ValueError before any read larger than the file."""
+    magic = f.read(4)
+    if magic != b"FABT":
+        raise ValueError(f"bad snapshot magic {magic!r}")
+    (rank,) = _read_struct(f, "<I")
+    if rank > 32:  # numpy's dimension limit
+        raise ValueError(f"snapshot rank {rank} > 32")
+    dims = _read_struct(f, f"<{rank}I")
+    size = 8 * math.prod(dims)
+    pos = f.tell()
+    left = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    if size > left:
+        raise ValueError(f"snapshot payload truncated: shape {dims} needs {size} bytes, {left} left")
+    return np.frombuffer(f.read(size), dtype="<f8").reshape(dims).copy()
+
+
+def _read_struct(f, fmt: str) -> tuple:
+    data = f.read(struct.calcsize(fmt))
+    if len(data) != struct.calcsize(fmt):
+        raise ValueError("snapshot header truncated")
+    return struct.unpack(fmt, data)
 
 
 def save_checkpoint(path, named_params):
@@ -255,11 +289,12 @@ def save_checkpoint(path, named_params):
             nb = name.encode()
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
-            T.write_snapshot(f, data)
+            _write_snapshot(f, data)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read save_checkpoint's records; a malformed file raises ValueError."""
+    """Read save_checkpoint's records; a malformed file, or one that names
+    a parameter twice, raises ValueError."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -273,7 +308,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             if ln > size - f.tell():
                 raise ValueError(f"{path}: checkpoint name of {ln} bytes overruns the file")
             name = f.read(ln).decode()
-            out[name] = T.read_snapshot(f)
+            if name in out:
+                raise ValueError(f"{path}: checkpoint names parameter {name!r} twice")
+            out[name] = _read_snapshot(f)
     return out
 
 

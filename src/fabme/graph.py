@@ -77,6 +77,8 @@ class GraphSpec:
                 raise ValueError(f"{key} {getattr(self, key)} out of range (0, {high}]")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype {self.dtype!r} not one of {tuple(DTYPES)}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed {self.seed} must be >= 0")
 
     @staticmethod
     def preset(scale: str = "s", **overrides) -> "GraphSpec":

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,13 +24,12 @@ import numpy as np
 __all__ = [
     "Tensor", "ConvSpec", "ShapeError", "NonFiniteError",
     "no_grad", "finite_checks",
-    "add", "sub", "mul", "div", "neg", "exp", "log", "sigmoid", "silu",
+    "add", "sub", "mul", "div", "neg", "exp", "sigmoid", "silu",
     "softplus", "minimum", "maximum", "tsum", "tmean", "reshape",
     "concat", "split", "linear", "conv2d", "conv_norm_silu", "conv1d",
     "global_avg_pool", "global_max_pool", "maxpool2d", "upsample_nearest2x",
     "channel_norm", "bce_with_logits",
     "grad_check", "GradCheckReport",
-    "write_snapshot", "read_snapshot",
 ]
 
 
@@ -287,16 +284,6 @@ def exp(a: Tensor) -> Tensor:
     return _node(out, (a,), backward, "exp")
 
 
-def log(a: Tensor) -> Tensor:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(a.data)
-
-    def backward(g):
-        _acc(a, g / a.data)
-
-    return _node(out, (a,), backward, "log")
-
-
 def _expit(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid without overflow or masks: exp(min(x, 0)) / (1 +
     exp(-|x|)).  The numerator is exactly exp(0) = 1 for x >= 0 and
@@ -481,7 +468,6 @@ class ConvSpec:
     stride: int = 1
     padding: int = 0
     groups: int = 1
-    bias: bool = True
 
     def __post_init__(self):
         if min(self.in_channels, self.out_channels) < 1:
@@ -536,15 +522,33 @@ def _cols(x: np.ndarray, kh: int, kw: int, s: int, p: int, oh: int, ow: int,
     return win.reshape(n // b, c * kh * kw, b * oh * ow)  # a view when 1x1 and b = 1
 
 
+# A patch matrix of more elements than this is built and multiplied one
+# band of output rows at a time.  Whole, it is the largest buffer of a
+# 640 px forward (29.5 MB at float32), and once glibc has unmapped a block
+# that large it keeps up to twice as much freed memory in its heap.
+_PATCH_ELEMS = 1 << 20
+
+
 def _correlate(x: np.ndarray, w3: np.ndarray, kh: int, kw: int, s: int, p: int,
                oh: int, ow: int) -> np.ndarray:
     """Cross-correlation of the NCHW array x with the weight w3, shaped
     (groups, out/groups, in/groups*kh*kw), as (n/b, out, b, oh, ow) blocks."""
     groups, opg = w3.shape[:2]
-    # a 1x1 patch matrix at b = 1 is x itself, and merging costs two copies
-    cols = _cols(x, kh, kw, s, p, oh, ow, merge=kh * kw > 1)
-    nb, _, m = cols.shape
-    return np.matmul(w3, cols.reshape(nb, groups, -1, m)).reshape(nb, groups * opg, -1, oh, ow)
+    n, c = x.shape[:2]
+    rows = _PATCH_ELEMS // (n * c * kh * kw * ow)
+    if kh * kw == 1 or rows >= oh:
+        # a 1x1 patch matrix at b = 1 is x itself, and merging costs two copies
+        cols = _cols(x, kh, kw, s, p, oh, ow, merge=kh * kw > 1)
+        nb, _, m = cols.shape
+        return np.matmul(w3, cols.reshape(nb, groups, -1, m)).reshape(nb, groups * opg, -1, oh, ow)
+    rows = max(rows, 1)
+    xp = _pad(x, p)
+    out = np.empty((n, groups, opg, oh * ow), dtype=np.result_type(x, w3))
+    for r in range(0, oh, rows):
+        r1 = min(oh, r + rows)
+        band = _cols(xp[:, :, r * s:(r1 - 1) * s + kh], kh, kw, s, 0, r1 - r, ow, merge=False)
+        np.matmul(w3, band.reshape(n, groups, -1, band.shape[2]), out=out[..., r * ow:r1 * ow])
+    return out.reshape(n, groups * opg, 1, oh, ow)
 
 
 def _nchw(y: np.ndarray) -> np.ndarray:
@@ -564,11 +568,8 @@ def _conv_forward(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None
     wshape = (oc, ic // groups, kh, kw)
     if weight.data.shape != wshape:
         raise ShapeError(f"conv2d: weight shape {weight.data.shape} != expected {wshape}")
-    if spec.bias:
-        if bias is None or bias.data.shape != (oc,):
-            raise ShapeError(f"conv2d: bias shape must be ({oc},)")
-    elif bias is not None:
-        raise ShapeError("conv2d: bias passed but spec.bias is False")
+    if bias is not None and bias.data.shape != (oc,):
+        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != expected ({oc},)")
     oh = (h + 2 * p - kh) // s + 1
     ow = (w + 2 * p - kw) // s + 1
     if oh < 1 or ow < 1:
@@ -625,19 +626,21 @@ def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None
     return _node(out, (x, weight) if bias is None else (x, weight, bias), backward, "conv2d")
 
 
-def conv_norm_silu(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None,
-                   gain: Tensor, nbias: Tensor) -> Tensor:
-    """silu(channel_norm(conv2d(x, spec, weight, bias), gain, nbias)) as one
-    tape node, bit for bit, through the same kernels.
+def conv_norm_silu(x: Tensor, spec: ConvSpec, weight: Tensor, gain: Tensor,
+                   nbias: Tensor) -> Tensor:
+    """silu(channel_norm(conv2d(x, spec, weight), gain, nbias)) as one tape
+    node, bit for bit, through the same kernels.  The conv takes no bias:
+    the norm subtracts each (n, c) plane's mean, which cancels any
+    per-channel constant added before it.
 
     The conv output is normalised in place, and the node keeps only that
     xhat and inv: backward recomputes the norm output gain*xhat + nbias and
     its sigmoid, the recompute trick of in-place activated batch norm (Rota
     Bulò et al., arXiv 1712.02616).  Untaped, the affine and the SiLU run
     in the same buffer."""
-    parents = ((x, weight) if bias is None else (x, weight, bias)) + (gain, nbias)
+    parents = (x, weight, gain, nbias)
     taped = _grad_enabled and any(t.requires_grad for t in parents)
-    xhat, inv, spare = _normalize(_conv_forward(x, spec, weight, bias), _NORM_EPS, in_place=True)
+    xhat, inv, spare = _normalize(_conv_forward(x, spec, weight, None), _NORM_EPS, in_place=True)
     out = _affine(xhat, gain.data, nbias.data, out=spare if taped else xhat)
     del spare
     out *= _expit(out)
@@ -650,7 +653,7 @@ def conv_norm_silu(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | Non
         del gz
         _acc(gain, ggain)
         _acc(nbias, gnbias)
-        _conv_backward(gy, x, spec, weight, bias)
+        _conv_backward(gy, x, spec, weight, None)
 
     return _node(out, parents, backward, "conv_norm_silu")
 
@@ -926,55 +929,3 @@ def grad_check(f: Callable, wrt, eps: float = 1e-5, tol: float = 1e-5) -> GradCh
     except NonFiniteError as e:
         return GradCheckReport(False, float("inf"), tol, eps, 0, failed_op=e.op)
     return GradCheckReport(max_err <= tol, max_err, tol, eps, n_checked, per_input=per_input)
-
-
-# ---------------------------------------------------------------------------
-# tensor snapshot files (little-endian, "FABT" magic)
-
-
-def write_snapshot(f, array: np.ndarray):
-    """Write one array as: magic "FABT", u32 rank, u32 dims..., f64 payload."""
-    arr = np.asarray(array, dtype="<f8")  # ascontiguousarray would make 0-d 1-d
-    own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
-    fh = open(f, "wb") if own else f
-    try:
-        fh.write(b"FABT")
-        fh.write(struct.pack("<I", arr.ndim))
-        for d in arr.shape:
-            fh.write(struct.pack("<I", d))
-        fh.write(arr.tobytes())
-    finally:
-        if own:
-            fh.close()
-
-
-def read_snapshot(f) -> np.ndarray:
-    """Inverse of write_snapshot; returns a float64 array.  A malformed
-    snapshot raises ValueError before any read larger than the file."""
-    own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
-    fh = open(f, "rb") if own else f
-    try:
-        magic = fh.read(4)
-        if magic != b"FABT":
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        (rank,) = _read_struct(fh, "<I")
-        if rank > 32:  # numpy's dimension limit
-            raise ValueError(f"snapshot rank {rank} > 32")
-        dims = _read_struct(fh, f"<{rank}I")
-        size = 8 * math.prod(dims)
-        pos = fh.tell()
-        left = fh.seek(0, os.SEEK_END) - pos
-        fh.seek(pos)
-        if size > left:
-            raise ValueError(f"snapshot payload truncated: shape {dims} needs {size} bytes, {left} left")
-        return np.frombuffer(fh.read(size), dtype="<f8").reshape(dims).copy()
-    finally:
-        if own:
-            fh.close()
-
-
-def _read_struct(fh, fmt: str) -> tuple:
-    data = fh.read(struct.calcsize(fmt))
-    if len(data) != struct.calcsize(fmt):
-        raise ValueError("snapshot header truncated")
-    return struct.unpack(fmt, data)

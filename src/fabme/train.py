@@ -53,12 +53,18 @@ class TrainConfig:
                 raise ValueError(f"TrainConfig.{name} must be strictly positive")
         if self.patience < 1:
             raise ValueError("TrainConfig.patience must be >= 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"TrainConfig.seed {self.seed} must be >= 0")
 
     @staticmethod
     def from_file(path) -> "TrainConfig":
         casts = dict.fromkeys(TrainConfig.__dataclass_fields__, float)
         casts.update(batch_size=int, patience=int, max_epochs=int, seed=int)
-        return TrainConfig(**read_key_values(path, casts, "train config"))
+        values = read_key_values(path, casts, "train config")
+        try:
+            return TrainConfig(**values)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 class TrainDivergedError(RuntimeError):

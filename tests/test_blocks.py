@@ -214,6 +214,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="overruns"):
             load_checkpoint(path)
 
+    def test_duplicate_name_rejected(self, rng, tmp_path):
+        conv = Conv(3, 4, 1, rng=rng)
+        path = tmp_path / "dup.fabck"
+        save_checkpoint(path, [("weight", conv.weight), ("norm.gain", conv.norm.gain),
+                               ("weight", np.zeros_like(conv.weight.data))])
+        with pytest.raises(ValueError, match="'weight' twice"):
+            load_checkpoint(path)
+
     def test_huge_dims_rejected(self, tmp_path):
         import tracemalloc
         path = tmp_path / "d.fabck"

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fabme import tensor as T
-from fabme.blocks import C2FVMamba
+from fabme.blocks import C2FVMamba, Conv, Module
 from fabme.graph import (
-    GraphSpec, build_graph, count_params, decode, nms, variant_spec,
+    VARIANTS, GraphSpec, build_graph, count_params, decode, nms, variant_spec,
 )
 from fabme.tensor import ShapeError, Tensor
 
@@ -72,6 +72,7 @@ class TestSpecsAndPresets:
         ("width_mult", "0"), ("width_mult", "1.5"), ("width_mult", "nan"), ("width_mult", "-1"),
         ("depth_mult", "0"), ("depth_mult", "1.01"), ("depth_mult", "inf"),
         ("num_classes", "0"), ("num_classes", "21"), ("num_classes", "100000000"),
+        ("seed", "-1"),
     ])
     def test_config_file_rejects_hostile_value(self, tmp_path, key, value):
         import tracemalloc
@@ -121,6 +122,25 @@ class TestParamCounts:
         from fabme.blocks import Conv
         conv = Conv(4, 8, 1, act=False, rng=rng)
         assert sum(t.data.size for _, t in conv.named_parameters()) == 4 * 8 + 8
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_conv_has_bias_or_norm(self, variant):
+        # the norm of an activated conv cancels a bias, so it has none
+        def convs(value):
+            if isinstance(value, Conv):
+                yield value
+            if isinstance(value, Module):
+                value = list(vars(value).values())
+            if isinstance(value, list):
+                for v in value:
+                    yield from convs(v)
+
+        found = list(convs(build_graph(variant_spec(variant, "nano-test"))))
+        assert found and all((c.bias is None) != (c.norm is None) for c in found)
+
+    @pytest.mark.parametrize("scale,n_tensors", [("nano-test", 152), ("s", 164)])
+    def test_fabme_parameter_tensors(self, scale, n_tensors):
+        assert len(build_graph(variant_spec("fabme", scale)).parameters()) == n_tensors
 
     def test_s_scale_window(self):
         n = count_params(build_graph(variant_spec("baseline", "s")))

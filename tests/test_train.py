@@ -82,6 +82,8 @@ class TestSchedule:
             TrainConfig(patience=0)
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=-1.0)
+        with pytest.raises(ValueError, match="seed -1 "):
+            TrainConfig(seed=-1)
 
     def test_config_file(self, tmp_path):
         p = tmp_path / "t.cfg"
@@ -91,6 +93,9 @@ class TestSchedule:
         p2 = tmp_path / "bad.cfg"
         p2.write_text("nope=3\n")
         with pytest.raises(ValueError, match="bad.cfg:1: unknown train config key 'nope'"):
+            TrainConfig.from_file(p2)
+        p2.write_text("seed=-1\n")
+        with pytest.raises(ValueError, match="bad.cfg: TrainConfig.seed -1 "):
             TrainConfig.from_file(p2)
 
 
