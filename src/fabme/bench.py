@@ -79,7 +79,9 @@ def bench_ss2d(L: int, d_model: int = 32, d_state: int = 8,
                repeats: int = 5, seed: int = 0) -> BenchRow:
     rng = np.random.default_rng(seed)
     x = _square_map(L, d_model, rng)
-    p = ScanParams.create(d_model, d_state=d_state, rng=rng, dtype=np.float32)
+    p = ScanParams.create(d_model, d_state=d_state, rng=rng)
+    for _, t in p.named_parameters():
+        t.data = t.data.astype(np.float32)
 
     def fn():
         with T.no_grad():

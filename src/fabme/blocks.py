@@ -2,8 +2,10 @@
 EMCA, plus the small module/parameter registry and checkpoint format they
 share.
 
-Blocks are stateless given their parameters; parameters are read-only
-during evaluation, so evaluating disjoint inputs concurrently is safe.
+Blocks build float64 parameters; the model that holds them casts them to
+its dtype.  Blocks are stateless given their parameters; parameters are
+read-only during evaluation, so evaluating disjoint inputs concurrently is
+safe.
 """
 from __future__ import annotations
 
@@ -61,9 +63,9 @@ def _walk(value, path):
             yield from _walk(v, f"{path}.{i}")
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
+def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     bound = math.sqrt(6.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 class Conv(Module):
@@ -73,12 +75,11 @@ class Conv(Module):
     bare projection or predictor is neither normalized nor activated, and
     keeps its bias."""
 
-    def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act=True, *, rng,
-                 dtype=np.float64):
+    def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act=True, *, rng):
         self.spec = ConvSpec(c_in, c_out, (k, k), stride=stride, padding=k // 2, groups=groups)
-        self.weight = _kaiming_uniform(rng, (c_out, c_in // groups, k, k), (c_in // groups) * k * k, dtype)
-        self.bias = None if act else Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
-        self.norm = ChannelNorm(c_out, dtype=dtype) if act else None
+        self.weight = _kaiming_uniform(rng, (c_out, c_in // groups, k, k), (c_in // groups) * k * k)
+        self.bias = None if act else Tensor(np.zeros(c_out), requires_grad=True)
+        self.norm = ChannelNorm(c_out) if act else None
 
     def forward(self, x):
         if self.norm is not None:
@@ -89,9 +90,9 @@ class Conv(Module):
 class ChannelNorm(Module):
     """Per-channel normalization over spatial positions with learnable affine."""
 
-    def __init__(self, channels, dtype=np.float64):
-        self.gain = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+    def __init__(self, channels):
+        self.gain = Tensor(np.ones(channels), requires_grad=True)
+        self.bias = Tensor(np.zeros(channels), requires_grad=True)
 
     def forward(self, x):
         return T.channel_norm(x, self.gain, self.bias)
@@ -100,9 +101,9 @@ class ChannelNorm(Module):
 class Bottleneck(Module):
     """Two 3x3 convolutions with an optional residual connection."""
 
-    def __init__(self, channels, shortcut=True, *, rng, dtype=np.float64):
-        self.cv1 = Conv(channels, channels, 3, rng=rng, dtype=dtype)
-        self.cv2 = Conv(channels, channels, 3, rng=rng, dtype=dtype)
+    def __init__(self, channels, shortcut=True, *, rng):
+        self.cv1 = Conv(channels, channels, 3, rng=rng)
+        self.cv2 = Conv(channels, channels, 3, rng=rng)
         self.shortcut = shortcut
 
     def forward(self, x):
@@ -114,13 +115,13 @@ class C2F(Module):
     """CSP-style block: 1x1 conv, split in half, chain n bottlenecks on one
     half, concat every intermediate, 1x1 conv out.  Concat width is (n+2)*h."""
 
-    def __init__(self, c_in, c_out, n=1, shortcut=False, *, rng, dtype=np.float64):
+    def __init__(self, c_in, c_out, n=1, shortcut=False, *, rng):
         if c_out % 2:
             raise ShapeError(f"C2F: out_channels {c_out} must be even")
         self.h = c_out // 2
-        self.cv1 = Conv(c_in, c_out, 1, rng=rng, dtype=dtype)
-        self.blocks = [Bottleneck(self.h, shortcut, rng=rng, dtype=dtype) for _ in range(n)]
-        self.cv2 = Conv((n + 2) * self.h, c_out, 1, rng=rng, dtype=dtype)
+        self.cv1 = Conv(c_in, c_out, 1, rng=rng)
+        self.blocks = [Bottleneck(self.h, shortcut, rng=rng) for _ in range(n)]
+        self.cv2 = Conv((n + 2) * self.h, c_out, 1, rng=rng)
 
     def forward(self, x):
         parts = T.split(self.cv1(x), [self.h, self.h])
@@ -133,10 +134,10 @@ class SPPF(Module):
     """Spatial pyramid pooling (fast): three chained stride-1 5x5 max pools,
     concat of all four stages, 1x1 convs either side."""
 
-    def __init__(self, c_in, c_out, *, rng, dtype=np.float64):
+    def __init__(self, c_in, c_out, *, rng):
         hidden = c_in // 2
-        self.cv1 = Conv(c_in, hidden, 1, rng=rng, dtype=dtype)
-        self.cv2 = Conv(hidden * 4, c_out, 1, rng=rng, dtype=dtype)
+        self.cv1 = Conv(c_in, hidden, 1, rng=rng)
+        self.cv2 = Conv(hidden * 4, c_out, 1, rng=rng)
 
     def forward(self, x):
         y = self.cv1(x)
@@ -159,15 +160,15 @@ class VSS(Module):
     path keeps the block width.
     """
 
-    def __init__(self, channels, d_state=8, *, rng, dtype=np.float64):
+    def __init__(self, channels, d_state=8, *, rng):
         c = self.channels = channels
-        self.norm1 = ChannelNorm(c, dtype=dtype)
-        self.proj_a = Conv(c, c, 1, act=False, rng=rng, dtype=dtype)
-        self.proj_b = Conv(c, c, 1, act=False, rng=rng, dtype=dtype)
-        self.dw = Conv(c, c, 3, groups=c, act=False, rng=rng, dtype=dtype)
-        self.scan = ScanParams.create(c, d_state=d_state, rng=rng, dtype=dtype)
-        self.norm2 = ChannelNorm(c, dtype=dtype)
-        self.proj_out = Conv(c, c, 1, act=False, rng=rng, dtype=dtype)
+        self.norm1 = ChannelNorm(c)
+        self.proj_a = Conv(c, c, 1, act=False, rng=rng)
+        self.proj_b = Conv(c, c, 1, act=False, rng=rng)
+        self.dw = Conv(c, c, 3, groups=c, act=False, rng=rng)
+        self.scan = ScanParams.create(c, d_state=d_state, rng=rng)
+        self.norm2 = ChannelNorm(c)
+        self.proj_out = Conv(c, c, 1, act=False, rng=rng)
 
     def forward(self, x):
         if x.data.shape[1] != self.channels:
@@ -186,16 +187,16 @@ class C2FVMamba(Module):
     outputs), of width (n+3)*h.
     """
 
-    def __init__(self, c_in, c_out, n=1, d_state=8, *, rng, dtype=np.float64):
+    def __init__(self, c_in, c_out, n=1, d_state=8, *, rng):
         if c_out % 2:
             raise ShapeError(f"C2FVMamba: out_channels {c_out} must be even")
         if n < 1:
             raise ShapeError(f"C2FVMamba: n {n} must be >= 1")
         self.c_in = c_in
         self.h = h = c_out // 2
-        self.cv1 = Conv(c_in, 2 * h, 1, rng=rng, dtype=dtype)
-        self.blocks = [VSS(h, d_state, rng=rng, dtype=dtype) for _ in range(n)]
-        self.cv2 = Conv((n + 3) * h, c_out, 1, rng=rng, dtype=dtype)
+        self.cv1 = Conv(c_in, 2 * h, 1, rng=rng)
+        self.blocks = [VSS(h, d_state, rng=rng) for _ in range(n)]
+        self.cv2 = Conv((n + 3) * h, c_out, 1, rng=rng)
 
     def forward(self, x):
         if x.data.shape[1] != self.c_in:
@@ -228,18 +229,18 @@ class EMCA(Module):
     the input map.
     """
 
-    def __init__(self, channels, *, rng, dtype=np.float64):
+    def __init__(self, channels, *, rng):
         self.channels = channels
         self.k = adaptive_kernel_size(channels)
-        self.weight = _kaiming_uniform(rng, (self.k,), self.k, dtype)
+        self.weight = _kaiming_uniform(rng, (self.k,), self.k)
 
     def forward(self, x):
         n, c, h, w = x.data.shape
         if c != self.channels:
             raise ShapeError(f"EMCA: input channels {c} != {self.channels}")
         desc = T.add(T.global_avg_pool(x), T.global_max_pool(x))
-        a = T.sigmoid(T.conv1d(desc.reshape(n, c), self.weight))
-        return T.mul(x, a.reshape(n, c, 1, 1))
+        a = T.sigmoid(T.conv1d(T.reshape(desc, (n, c)), self.weight))
+        return T.mul(x, T.reshape(a, (n, c, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

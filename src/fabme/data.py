@@ -14,8 +14,9 @@ import math
 import os
 import struct
 import sys
+import typing
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 __all__ = [
     "Annotation", "TileJob", "Sample",
     "plan_tiles", "remap_annotations", "plan_tile_job", "extract_tile",
-    "split_dataset", "read_labels", "write_labels", "read_key_values",
+    "split_dataset", "read_labels", "write_labels", "read_key_values", "read_config",
     "read_ppm", "write_ppm", "read_png", "read_image", "load_image",
     "scan_dataset", "tile_dataset", "write_manifest", "category_stats",
 ]
@@ -117,6 +118,31 @@ def read_key_values(path, casts: dict, kind: str) -> dict:
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {k}: {e}") from None
     return out
+
+
+def _parse_bool(s: str) -> bool:
+    if s.lower() in ("true", "1", "yes"):
+        return True
+    if s.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"cannot parse boolean from {s!r}")
+
+
+# the cast of a config value, by the annotation of its dataclass field
+_FIELD_CASTS = {float: float, int: int, str: str, bool: _parse_bool, float | None: float}
+
+
+def read_config(cls, path, kind: str):
+    """Build dataclass cls from a key=value file (see read_key_values),
+    casting each value by its field's annotation; an error the dataclass
+    raises is re-raised naming the file."""
+    hints = typing.get_type_hints(cls)
+    casts = {f.name: _FIELD_CASTS[hints[f.name]] for f in fields(cls)}
+    values = read_key_values(path, casts, kind)
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -462,25 +488,20 @@ def tile_dataset(in_dir, out_dir, tile: int = TILE_SIZE, seed: int = 0) -> dict:
         (out_dir / part / "images").mkdir(parents=True, exist_ok=True)
         (out_dir / part / "labels").mkdir(parents=True, exist_ok=True)
 
-    def process(src: Sample):
+    manifest_rows = []
+    tiles_by_part = {"train": [], "val": []}
+    for src in sources:
         img = read_image(src.image_path)
         h, w = img.shape[:2]
         job = plan_tile_job(src.image_id, w, h, src.annotations, tile)
         part = part_of[src.image_id]
-        rows, tiles = [], []
         for origin, anns in zip(job.origins, job.annotations):
             tile_id = f"{src.image_id}_{origin[0]}_{origin[1]}"
-            write_ppm(out_dir / part / "images" / f"{tile_id}.ppm", extract_tile(img, origin, tile))
+            image_path = out_dir / part / "images" / f"{tile_id}.ppm"
+            write_ppm(image_path, extract_tile(img, origin, tile))
             write_labels(out_dir / part / "labels" / f"{tile_id}.txt", anns)
-            rows.append((tile_id, src.image_id, origin[0], origin[1], len(anns)))
-            tiles.append(Sample(tile_id, out_dir / part / "images" / f"{tile_id}.ppm", anns))
-        return part, rows, tiles
-
-    manifest_rows = []
-    tiles_by_part = {"train": [], "val": []}
-    for part, rows, tiles in map(process, sources):
-        manifest_rows.extend(rows)
-        tiles_by_part[part].extend(tiles)
+            manifest_rows.append((tile_id, src.image_id, origin[0], origin[1], len(anns)))
+            tiles_by_part[part].append(Sample(tile_id, image_path, anns))
     manifest_rows.sort(key=lambda r: r[0])
     write_manifest(out_dir / "manifest.csv", manifest_rows)
     stats = category_stats(tiles_by_part["train"], tiles_by_part["val"])

@@ -15,7 +15,7 @@ import numpy as np
 
 from fabme import tensor as T
 from fabme.blocks import C2F, C2FVMamba, Conv, EMCA, Module, SPPF, block_rng
-from fabme.data import read_key_values
+from fabme.data import read_config
 from fabme.metrics import Detection, pairwise_iou
 from fabme.tensor import NonFiniteError, ShapeError, Tensor, _expit
 
@@ -106,26 +106,7 @@ class GraphSpec:
 
     @staticmethod
     def from_file(path) -> "GraphSpec":
-        values = read_key_values(path, _SPEC_CASTS, "graph config")
-        try:
-            return GraphSpec(**values)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"cannot parse boolean from {s!r}")
-
-
-_SPEC_CASTS = {
-    "width_mult": float, "depth_mult": float, "emca_enabled": _parse_bool,
-    "num_classes": int, "input_size": int, "seed": int,
-    "vmamba_position": str, "dtype": str,
-}
+        return read_config(GraphSpec, path, "graph config")
 
 
 def variant_spec(name: str, scale: str = "s", **overrides) -> GraphSpec:
@@ -140,9 +121,9 @@ class Head(Module):
     box offsets (4) + objectness (1) + class logits.  The objectness bias
     starts at -2 so few cells fire before training."""
 
-    def __init__(self, c_in, num_classes, rng, dtype):
-        self.cv1 = Conv(c_in, 2 * c_in, 1, rng=rng, dtype=dtype)
-        self.cv2 = Conv(2 * c_in, 5 + num_classes, 1, act=False, rng=rng, dtype=dtype)
+    def __init__(self, c_in, num_classes, rng):
+        self.cv1 = Conv(c_in, 2 * c_in, 1, rng=rng)
+        self.cv2 = Conv(2 * c_in, 5 + num_classes, 1, act=False, rng=rng)
         self.cv2.bias.data[4] = -2.0
 
     def forward(self, x):
@@ -156,42 +137,45 @@ class FabMEModel(Module):
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        dtype = spec.np_dtype()
         w0, w1, w2, w3, w4 = spec.widths()
         n1, n2, n3, n4 = spec.depths()
         nn = spec.neck_depth()
         seed = spec.seed
 
-        def conv(path, *a, **kw):
-            return Conv(*a, rng=block_rng(seed, path), dtype=dtype, **kw)
+        # blocks build float64, and each is cast as it is built, so that at
+        # most one block's float64 parameters are held at once; a float64
+        # draw cast to float32 is the same float32 as a draw made in float32
+        def block(cls, path, *a, **kw):
+            b = cls(*a, rng=block_rng(seed, path), **kw)
+            for p in b.parameters():
+                p.data = p.data.astype(spec.np_dtype(), copy=False)
+            return b
 
-        self.stem = conv("stem", IN_CHANNELS, w0, 3, 2)
-        self.down1 = conv("down1", w0, w1, 3, 2)
-        self.stage1 = C2F(w1, w1, n1, shortcut=True, rng=block_rng(seed, "stage1"), dtype=dtype)
-        self.down2 = conv("down2", w1, w2, 3, 2)
-        self.stage2 = C2F(w2, w2, n2, shortcut=True, rng=block_rng(seed, "stage2"), dtype=dtype)
-        self.down3 = conv("down3", w2, w3, 3, 2)
-        self.stage3 = C2F(w3, w3, n3, shortcut=True, rng=block_rng(seed, "stage3"), dtype=dtype)
-        self.down4 = conv("down4", w3, w4, 3, 2)
-        self.stage4 = C2F(w4, w4, n4, shortcut=True, rng=block_rng(seed, "stage4"), dtype=dtype)
-        self.sppf = SPPF(w4, w4, rng=block_rng(seed, "sppf"), dtype=dtype)
-        self.emca = EMCA(w4, rng=block_rng(seed, "emca"), dtype=dtype) if spec.emca_enabled else None
+        self.stem = block(Conv, "stem", IN_CHANNELS, w0, 3, 2)
+        self.down1 = block(Conv, "down1", w0, w1, 3, 2)
+        self.stage1 = block(C2F, "stage1", w1, w1, n1, shortcut=True)
+        self.down2 = block(Conv, "down2", w1, w2, 3, 2)
+        self.stage2 = block(C2F, "stage2", w2, w2, n2, shortcut=True)
+        self.down3 = block(Conv, "down3", w2, w3, 3, 2)
+        self.stage3 = block(C2F, "stage3", w3, w3, n3, shortcut=True)
+        self.down4 = block(Conv, "down4", w3, w4, 3, 2)
+        self.stage4 = block(C2F, "stage4", w4, w4, n4, shortcut=True)
+        self.sppf = block(SPPF, "sppf", w4, w4)
+        self.emca = block(EMCA, "emca", w4) if spec.emca_enabled else None
 
         def neck_block(path, c_in, c_out):
             if spec.vmamba_position == path:
-                return C2FVMamba(c_in, c_out, nn, rng=block_rng(seed, path), dtype=dtype)
-            return C2F(c_in, c_out, nn, shortcut=False, rng=block_rng(seed, path), dtype=dtype)
+                return block(C2FVMamba, path, c_in, c_out, nn)
+            return block(C2F, path, c_in, c_out, nn, shortcut=False)
 
         self.neck1 = neck_block("c2f1", w4 + w3, w3)
         self.neck2 = neck_block("c2f2", w3 + w2, w2)
-        self.pan1 = conv("pan1", w2, w2, 3, 2)
+        self.pan1 = block(Conv, "pan1", w2, w2, 3, 2)
         self.neck3 = neck_block("c2f3", w2 + w3, w3)
-        self.pan2 = conv("pan2", w3, w3, 3, 2)
+        self.pan2 = block(Conv, "pan2", w3, w3, 3, 2)
         self.neck4 = neck_block("c2f4", w3 + w4, w4)
-        self.heads = [
-            Head(c, spec.num_classes, rng=block_rng(seed, f"head{i}"), dtype=dtype)
-            for i, c in enumerate((w2, w3, w4))
-        ]
+        self.heads = [block(Head, f"head{i}", c, spec.num_classes)
+                      for i, c in enumerate((w2, w3, w4))]
 
     def forward(self, x: Tensor) -> list[Tensor]:
         n, c, h, w = x.data.shape

@@ -11,7 +11,7 @@ AP is the area under the monotone-envelope precision-recall curve
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +53,6 @@ class ClassAP:
     n_gt: int
     n_tp: int
     n_fp: int
-    precision: list[float] = field(default_factory=list)
-    recall: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -130,7 +128,6 @@ def match_and_ap(dets, gts, iou_thresh: float = 0.5) -> dict[int, ClassAP]:
         result[cid] = ClassAP(
             class_id=cid, ap=_envelope_ap(recall, precision), n_gt=len(class_gts),
             n_tp=n_tp, n_fp=len(ranked) - n_tp,
-            precision=precision.tolist(), recall=recall.tolist(),
         )
     return result
 

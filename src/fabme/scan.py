@@ -28,28 +28,14 @@ __all__ = [
 
 DIRECTIONS = ("lr", "rl", "tb", "bt")
 
-_PERM_CACHE: dict[tuple[int, int, str], np.ndarray] = {}
-
-
 def direction_perm(h: int, w: int, direction: str) -> np.ndarray:
     """Flat indices (into a row-major h*w map) visited by a scan direction."""
-    key = (h, w, direction)
-    perm = _PERM_CACHE.get(key)
-    if perm is not None:
-        return perm
-    base = np.arange(h * w)
-    if direction == "lr":
-        perm = base
-    elif direction == "rl":
-        perm = base[::-1].copy()
-    elif direction == "tb":
-        perm = base.reshape(h, w).T.reshape(-1).copy()
-    elif direction == "bt":
-        perm = base.reshape(h, w).T.reshape(-1)[::-1].copy()
-    else:
+    if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
-    _PERM_CACHE[key] = perm
-    return perm
+    base = np.arange(h * w)
+    if direction in ("tb", "bt"):
+        base = base.reshape(h, w).T.reshape(-1)
+    return base[::-1] if direction in ("rl", "bt") else base
 
 
 def flatten_direction(x: Tensor, direction: str) -> Tensor:
@@ -104,13 +90,12 @@ class ScanParams:
     dt_bias: Tensor    # (d_model,)
 
     @staticmethod
-    def create(d_model: int, d_state: int = 8, *, rng: np.random.Generator,
-               dtype=np.float64) -> "ScanParams":
+    def create(d_model: int, d_state: int = 8, *, rng: np.random.Generator) -> "ScanParams":
         dt_rank = max(1, -(-d_model // 16))  # ceil(d_model / 16)
         bound = 1.0 / np.sqrt(d_model)
 
         def u(shape, b):
-            return Tensor(rng.uniform(-b, b, size=shape).astype(dtype), requires_grad=True)
+            return Tensor(rng.uniform(-b, b, size=shape), requires_grad=True)
 
         a = np.tile(np.arange(1, d_state + 1, dtype=np.float64), (d_model, 1))
         dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_model))
@@ -119,13 +104,13 @@ class ScanParams:
             d_model=d_model,
             d_state=d_state,
             dt_rank=dt_rank,
-            a_log=Tensor(np.log(a).astype(dtype), requires_grad=True),
-            d_skip=Tensor(np.ones(d_model, dtype=dtype), requires_grad=True),
+            a_log=Tensor(np.log(a), requires_grad=True),
+            d_skip=Tensor(np.ones(d_model), requires_grad=True),
             w_b=u((d_state, d_model), bound),
             w_c=u((d_state, d_model), bound),
             w_dt_down=u((dt_rank, d_model), bound),
             w_dt_up=u((d_model, dt_rank), 1.0 / np.sqrt(dt_rank)),
-            dt_bias=Tensor(dt_bias.astype(dtype), requires_grad=True),
+            dt_bias=Tensor(dt_bias, requires_grad=True),
         )
 
     def named_parameters(self, prefix: str = ""):

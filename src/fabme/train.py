@@ -14,7 +14,7 @@ from time import perf_counter
 import numpy as np
 
 from fabme import graph, tensor as T
-from fabme.data import Annotation, Sample, load_image, read_key_values
+from fabme.data import Annotation, Sample, load_image, read_config
 from fabme.graph import FabMEModel
 from fabme.metrics import Detection, GroundTruth, map50
 from fabme.tensor import Tensor
@@ -58,13 +58,7 @@ class TrainConfig:
 
     @staticmethod
     def from_file(path) -> "TrainConfig":
-        casts = dict.fromkeys(TrainConfig.__dataclass_fields__, float)
-        casts.update(batch_size=int, patience=int, max_epochs=int, seed=int)
-        values = read_key_values(path, casts, "train config")
-        try:
-            return TrainConfig(**values)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+        return read_config(TrainConfig, path, "train config")
 
 
 class TrainDivergedError(RuntimeError):

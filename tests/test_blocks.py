@@ -144,7 +144,7 @@ class TestEMCA:
         for scale in (0.1, 1.0, 5.0):
             x = Tensor(rng.standard_normal((3, 6, 4, 4)) * scale)
             desc = T.add(T.global_avg_pool(x), T.global_max_pool(x))
-            a = T.sigmoid(T.conv1d(desc.reshape(3, 6), emca.weight))
+            a = T.sigmoid(T.conv1d(T.reshape(desc, (3, 6)), emca.weight))
             assert np.all(a.data > 0.0) and np.all(a.data < 1.0)
 
     def test_monotone_in_channel_with_identity_kernel(self, rng):
@@ -188,7 +188,7 @@ class TestEMCA:
 def _attention(emca, x):
     t = Tensor(x)
     desc = T.add(T.global_avg_pool(t), T.global_max_pool(t))
-    return T.sigmoid(T.conv1d(desc.reshape(x.shape[0], x.shape[1]), emca.weight)).data
+    return T.sigmoid(T.conv1d(T.reshape(desc, x.shape[:2]), emca.weight)).data
 
 
 class TestCheckpoint:

@@ -174,6 +174,17 @@ class TestParamCounts:
         changed = {n.split(".", 1)[0] for n in (set(base) ^ set(fab))}
         assert changed == {"neck3"}
 
+    @pytest.mark.parametrize("variant,scale",
+                             [(v, "nano-test") for v in sorted(VARIANTS)] + [("fabme", "s")])
+    def test_float32_params_are_the_float64_params_cast(self, variant, scale):
+        wide = list(build_graph(variant_spec(variant, scale)).named_parameters())
+        narrow = list(build_graph(variant_spec(variant, scale, dtype="float32")).named_parameters())
+        assert [n for n, _ in narrow] == [n for n, _ in wide]
+        for (name, t32), (_, t64) in zip(narrow, wide):
+            assert t64.data.dtype == np.float64 and t32.data.dtype == np.float32, name
+            assert t32.data.flags.c_contiguous, name
+            assert t32.data.tobytes() == t64.data.astype(np.float32).tobytes(), name
+
 
 class TestDecode:
     def _empty_heads(self, nc=4):

@@ -105,7 +105,9 @@ class TestSelectiveScan:
         (np.float32, -100.0, True), (np.float64, -700.0, True),  # dt still subnormal, > 0
     ])
     def test_dt_underflow_names_its_source(self, dtype, pre, ok, rng):
-        p = ScanParams.create(4, d_state=2, rng=rng, dtype=dtype)
+        p = ScanParams.create(4, d_state=2, rng=rng)
+        for _, t in p.named_parameters():
+            t.data = t.data.astype(dtype)
         p.w_dt_up.data[:] = 0.0  # the pre-activation is dt_bias alone
         p.dt_bias.data[:] = pre
         seq = Tensor(rng.standard_normal((1, 3, 4)).astype(dtype))
