@@ -2,7 +2,8 @@
 attention baseline, defended by the linear-vs-quadratic growth check.
 
 Timings are forward-only at float32; results are CSV rows
-(operator, L, d_model, d_state, mean_ns, p95_ns).
+(operator, L, d_model, d_state, mean_ns, p95_ns).  A sweep times its points
+in interleaved rounds, and growth ratios compare the points' medians.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from fabme import tensor as T
 from fabme.scan import ScanParams, ss2d
 from fabme.tensor import Tensor
 
-__all__ = ["BenchRow", "time_fn", "bench_ss2d", "bench_attention",
+__all__ = ["BenchRow", "bench_ss2d", "bench_attention",
            "run_sweep", "write_bench_csv", "growth_ratios"]
 
 
@@ -30,21 +31,15 @@ class BenchRow:
     d_state: int
     mean_ns: float
     p95_ns: float
+    median_ns: float
     state_bytes: int = 0  # ss2d only: see _scan_state_bytes
 
 
-def time_fn(fn, repeats: int = 5, warmup: int = 2) -> tuple[float, float]:
-    """Mean and p95 wall time of fn() in nanoseconds."""
-    for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - t0)
-    samples.sort()
+def _stats(samples) -> tuple[float, float, float]:
+    """Mean, p95 and median of wall-time samples."""
+    samples = sorted(samples)
     p95 = samples[min(len(samples) - 1, math.ceil(0.95 * len(samples)) - 1)]
-    return float(np.mean(samples)), float(p95)
+    return float(np.mean(samples)), float(p95), float(np.median(samples))
 
 
 def _square_map(L: int, d_model: int, rng) -> Tensor:
@@ -75,8 +70,8 @@ def _scan_state_bytes(x: Tensor, p: ScanParams) -> int:
     return sum(seen)
 
 
-def bench_ss2d(L: int, d_model: int = 32, d_state: int = 8,
-               repeats: int = 5, seed: int = 0) -> BenchRow:
+def _ss2d_case(L: int, d_model: int, d_state: int, seed: int):
+    """The timed call of one ss2d sweep point, and its scan state bytes."""
     rng = np.random.default_rng(seed)
     x = _square_map(L, d_model, rng)
     p = ScanParams.create(d_model, d_state=d_state, rng=rng)
@@ -87,8 +82,12 @@ def bench_ss2d(L: int, d_model: int = 32, d_state: int = 8,
         with T.no_grad():
             ss2d(x, p)
 
-    mean_ns, p95_ns = time_fn(fn, repeats)
-    return BenchRow("ss2d", L, d_model, d_state, mean_ns, p95_ns, _scan_state_bytes(x, p))
+    return fn, _scan_state_bytes(x, p)
+
+
+def bench_ss2d(L: int, d_model: int = 32, d_state: int = 8,
+               repeats: int = 5, seed: int = 0) -> BenchRow:
+    return run_sweep("ss2d", (L,), d_model, d_state, repeats, seed)[0]
 
 
 def naive_attention(x: np.ndarray) -> np.ndarray:
@@ -100,25 +99,43 @@ def naive_attention(x: np.ndarray) -> np.ndarray:
     return w @ x
 
 
-def bench_attention(L: int, d_model: int = 32, repeats: int = 5, seed: int = 0) -> BenchRow:
+def _attention_case(L: int, d_model: int, seed: int):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, L, d_model)).astype(np.float32)
-    mean_ns, p95_ns = time_fn(lambda: naive_attention(x), repeats)
-    return BenchRow("attention", L, d_model, 0, mean_ns, p95_ns)
+    return (lambda: naive_attention(x)), 0
+
+
+def bench_attention(L: int, d_model: int = 32, repeats: int = 5, seed: int = 0) -> BenchRow:
+    return run_sweep("attention", (L,), d_model, repeats=repeats, seed=seed)[0]
 
 
 def run_sweep(op: str, Ls=(256, 1024, 4096), d_model: int = 32, d_state: int = 8,
               repeats: int = 5, seed: int = 0) -> list[BenchRow]:
+    """Time the sweep points in `repeats` interleaved rounds.  Each round
+    calls every point once, straight after one untimed call of the same
+    point that refills the caches the other points evicted, so a host whose
+    speed drifts over seconds slows all points alike, and each point's
+    median drops the rounds that a burst of load hit."""
     if op == "ss2d":
-        return [bench_ss2d(L, d_model, d_state, repeats, seed) for L in Ls]
-    if op == "attention":
-        return [bench_attention(L, d_model, repeats, seed) for L in Ls]
-    raise ValueError(f"unknown benchmark operator {op!r}; expected ss2d or attention")
+        cases = [_ss2d_case(L, d_model, d_state, seed) for L in Ls]
+    elif op == "attention":
+        cases, d_state = [_attention_case(L, d_model, seed) for L in Ls], 0
+    else:
+        raise ValueError(f"unknown benchmark operator {op!r}; expected ss2d or attention")
+    samples = [[] for _ in cases]
+    for _ in range(repeats):
+        for (fn, _), out in zip(cases, samples):
+            fn()
+            t0 = time.perf_counter_ns()
+            fn()
+            out.append(time.perf_counter_ns() - t0)
+    return [BenchRow(op, L, d_model, d_state, *_stats(s), state_bytes)
+            for L, (_, state_bytes), s in zip(Ls, cases, samples)]
 
 
 def growth_ratios(rows: list[BenchRow]) -> list[float]:
-    """mean_ns ratios between consecutive sweep points."""
-    return [rows[i + 1].mean_ns / rows[i].mean_ns for i in range(len(rows) - 1)]
+    """median_ns ratios between consecutive sweep points."""
+    return [rows[i + 1].median_ns / rows[i].median_ns for i in range(len(rows) - 1)]
 
 
 def write_bench_csv(path, rows: list[BenchRow]):

@@ -157,7 +157,7 @@ def cmd_bench(args) -> int:
                      repeats=args.repeats)
     write_bench_csv(out / f"bench_{args.op}.csv", rows)
     ratios = ", ".join(f"{r:.2f}" for r in growth_ratios(rows))
-    print(f"{args.op}: " + "; ".join(f"L={r.L}: {r.mean_ns / 1e6:.2f}ms" for r in rows)
+    print(f"{args.op}: " + "; ".join(f"L={r.L}: {r.median_ns / 1e6:.2f}ms" for r in rows)
           + f"; growth ratios [{ratios}]")
     return 0
 

@@ -4,8 +4,12 @@ by source image, and report per-category statistics.
 
 Image IO is dependency-free: PPM (P5/P6) read/write and a minimal PNG
 reader (8-bit, non-interlaced) that undoes all five PNG filters with
-numpy, every row at once along anti-diagonals, in bands that keep its
-memory within a few times the image.  Malformed files raise ValueError.
+numpy, in bands of max(W, 64) rows.  None, Sub and Up rows whose row
+above is decoded first are direct: each takes whole-row ops.  Every other
+row lies in a segment, a run that starts at an Average or Paeth row and
+ends before the next None or Sub row.  The segments of a band are swept
+together along anti-diagonals, in W - 1 + (longest segment + 1) steps, in
+a work array about twice the band.  Malformed files raise ValueError.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ __all__ = [
 TILE_SIZE = 640
 MIN_AREA_RATIO = 0.25
 MIN_CLIPPED_PX = 2.0
+PNM_TOKEN_MAX = 10  # width, height and maxval need at most 10 digits
 
 
 @dataclass(frozen=True)
@@ -254,12 +259,14 @@ def write_ppm(path, img: np.ndarray):
         f.write(np.ascontiguousarray(img).tobytes())
 
 
-def _read_pnm_token(f) -> bytes:
+def _read_pnm_token(f, path) -> bytes:
+    """The next whitespace-separated PNM header field, comments skipped; no
+    field the reader accepts is longer than PNM_TOKEN_MAX bytes."""
     tok = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise ValueError("truncated PNM header")
+            raise ValueError(f"{path}: truncated PNM header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = f.read(1)
@@ -268,18 +275,26 @@ def _read_pnm_token(f) -> bytes:
             if tok:
                 return tok
             continue
+        if len(tok) == PNM_TOKEN_MAX:
+            raise ValueError(f"{path}: PNM header field longer than {PNM_TOKEN_MAX} bytes")
         tok += ch
+
+
+def _read_pnm_int(f, path) -> int:
+    tok = _read_pnm_token(f, path)
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{path}: PNM header field {tok!r} is not a number") from None
 
 
 def read_ppm(path) -> np.ndarray:
     """Read binary P6 (RGB) or P5 (gray) into (H, W, 3) uint8."""
     with open(path, "rb") as f:
-        magic = _read_pnm_token(f)
+        magic = _read_pnm_token(f, path)
         if magic not in (b"P6", b"P5"):
             raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
-        w = int(_read_pnm_token(f))
-        h = int(_read_pnm_token(f))
-        maxval = int(_read_pnm_token(f))
+        w, h, maxval = (_read_pnm_int(f, path) for _ in range(3))
         if maxval != 255:
             raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 1 or h < 1:
@@ -351,48 +366,116 @@ def read_png(path) -> np.ndarray:
 
 def _unfilter(filt: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
     """Undo the PNG filters (W3C PNG specification, section 9) of (H, W,
-    bpp) filtered pixels, ftypes[r] being the filter type of row r.  Bands
-    of at most W rows keep the work arrays within a few times the image;
-    each band's prior row is the last row of the band before."""
+    bpp) filtered pixels, ftypes[r] being the filter type of row r, in
+    bands of B = max(W, 64) rows; each band's prior row is the last row of
+    the band before.  A band fills at most B + 1 slots of a work array of
+    at most W + B + 2 diagonals: about twice the band when W >= 64, and
+    under 129 x 65 pixels below that, where the floor of 64 rows spreads
+    each band's fixed cost over enough rows of a narrow image."""
     h, w, bpp = filt.shape
     out = np.empty(filt.shape, dtype=np.uint8)
     prior = np.zeros((w, bpp), dtype=np.uint8)
-    for top in range(0, h, w):
-        band = out[top:top + w]
-        band[...] = _unfilter_band(filt[top:top + w], ftypes[top:top + w], prior)
+    rows = max(w, 64)
+    for top in range(0, h, rows):
+        band = out[top:top + rows]
+        _unfilter_band(filt[top:top + rows], ftypes[top:top + rows], prior, band)
         prior = band[-1]
     return out
 
 
-def _unfilter_band(filt, ftypes, prior):
-    """Decode every row at once, one anti-diagonal of pixels per step: pixel
-    (r, x) lies on diagonal r + x, and its left (r, x-1), up (r-1, x) and
-    up-left (r-1, x-1) neighbours on the two diagonals before it.  Both
-    work arrays are diagonal-major: f[k, r] holds filtered pixel (r, k-r),
-    d[k+2, r+1] decoded pixel (r, k-r); d's row 0 is the prior row and its
-    first two diagonals, like every pixel left of x = 0, stay zero."""
-    h, w, bpp = filt.shape
-    n = w + h - 1
-    f = np.zeros((n, h, bpp), dtype=np.int16)
-    d = np.zeros((n + 2, h + 1, bpp), dtype=np.int16)
-    _skewed(f, 0, 0, h, w)[...] = filt
-    d[1:w + 1, 0] = prior
-    # Each step runs on flat byte runs.  None, Sub, Up and Average predict
-    # (ka*a + kb*b) >> 1 with (ka, kb) = (0, 0), (2, 0), (0, 2), (1, 1);
-    # Paeth rows have ka = kb = 0 and kp = 1.
-    ka, kb, kp = (np.repeat(np.array(v, dtype=np.int16)[ftypes], bpp)
-                  for v in ((0, 2, 0, 1, 0), (0, 0, 2, 1, 0), (0, 0, 0, 0, 1)))
-    f, d = f.reshape(n, -1), d.reshape(n + 2, -1)
-    for k in range(n):
-        lo, hi = max(0, k - w + 1) * bpp, min(h, k + 1) * bpp  # rows with 0 <= k - r < w
-        a, b, c = d[k + 1, lo + bpp:hi + bpp], d[k + 1, lo:hi], d[k, lo:hi]
-        ac, bc = a - c, b - c
-        pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(ac + bc)
-        near = c + bc * (pb <= pc)  # the spec's tie order: a, then b, then c
-        paeth = near + (a - near) * ((pa <= pb) & (pa <= pc))
-        pred = ((ka[lo:hi] * a + kb[lo:hi] * b) >> 1) + kp[lo:hi] * paeth
-        d[k + 2, lo + bpp:hi + bpp] = (f[k, lo:hi] + pred) & 0xFF
-    return _skewed(d.reshape(n + 2, h + 1, bpp), 2, 1, h, w)
+def _unfilter_band(filt, ftypes, prior, out):
+    """Decode one band into out.  Direct rows take whole-row ops: a None row
+    is a copy, a Sub row a running sum along x, and an Up row the sum of
+    itself and the row above, which is direct too or the prior row.  A
+    segment is a maximal run of rows that starts at an Average or Paeth row
+    and ends before the next None or Sub row; only segments are swept."""
+    h = len(ftypes)
+    rows = np.arange(h)
+    in_segment = (np.maximum.accumulate(np.where(ftypes >= 3, rows, -1))
+                  > np.maximum.accumulate(np.where(ftypes <= 1, rows, -1)))
+    kind = np.where(in_segment, 3, ftypes)
+    edges = [0, *(np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist(), h]
+    segments = []
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        if kind[r0] == 0:
+            out[r0:r1] = filt[r0:r1]
+        elif kind[r0] == 1:
+            np.cumsum(filt[r0:r1], axis=1, dtype=np.uint8, out=out[r0:r1])
+        elif kind[r0] == 2:
+            for r in range(r0, r1):
+                np.add(out[r - 1] if r else prior, filt[r], out=out[r])
+        else:
+            segments.append((r0, r1))
+    if segments:
+        _sweep(filt, ftypes, prior, out, segments)
+
+
+def _sweep(filt, ftypes, prior, out, segments):
+    """Decode the segments together, one anti-diagonal of pixels per step,
+    in w - 1 + (most slots of a segment) steps.  A segment of m rows takes
+    m + 1 consecutive slots: its decoded row above, entered as a None row,
+    then its rows.  Pixel x of slot s, the j-th of its segment, lies on
+    diagonal j + x, and its left (s, x-1), up (s-1, x) and up-left
+    (s-1, x-1) neighbours on the two diagonals before it, so every segment
+    starts at step 0.  The work array d is diagonal-major: d[k+2, s+1]
+    holds pixel (s, k-j), filtered until step k decodes it in place; every
+    pixel left of x = 0 stays zero, and pixels right of x = w - 1 are read
+    by none that lie inside.  Each step runs over the slot range whose
+    pixels lie in [0, w); segments that hold a Paeth row go last, and only
+    that tail evaluates the Paeth predictor, unless fewer than 1024 bytes
+    of a diagonal come before it."""
+    w, bpp = filt.shape[1:]
+    segments.sort(key=lambda s: 4 in ftypes[s[0]:s[1]])
+    m = np.array([r1 - r0 + 1 for r0, r1 in segments])
+    start = np.concatenate([[0], np.cumsum(m)])
+    slots, n = int(start[-1]), w + int(m.max()) - 1
+    tail = int(start[sum(4 not in ftypes[r0:r1] for r0, r1 in segments)])
+    if tail < slots and tail * bpp < 1024:  # too few bytes before it to pay for two passes
+        tail = 0
+    d = np.zeros((n + 2, slots + 1, bpp), dtype=np.uint8)
+    pixels = d.view(f"V{bpp}")  # copies move whole pixels
+    stype = np.zeros(slots, dtype=np.intp)
+    for s0, (r0, r1) in zip(start.tolist(), segments):
+        view = _skewed(pixels, 2, s0 + 1, r1 - r0 + 1, w)
+        view[0] = (out[r0 - 1] if r0 else prior).view(pixels.dtype)
+        view[1:] = filt[r0:r1].view(pixels.dtype)
+        stype[s0 + 1:s0 + 1 + r1 - r0] = ftypes[r0:r1]
+    # None, Up and Average predict (ka*a + kb*b) >> 1 with (ka, kb) = (0, 0),
+    # (0, 2), (1, 1); Paeth slots have ka = kb = 0, and kp = 1 adds Paeth.
+    ka, kb, kp = (np.repeat(np.array(v, dtype=np.int16)[stype], bpp)
+                  for v in ((0, 0, 0, 1, 0), (0, 0, 2, 1, 0), (0, 0, 0, 0, 1)))
+    # the live slots of step k: until k = w - 1, slots j <= k; then slots
+    # j > k - w of the segments longer than that
+    q = np.arange(1, n - w + 1)
+    longer = m > q[:, None]
+    lo = np.concatenate([np.zeros(w, dtype=int), start[longer.argmax(1)] + q])
+    hi = np.concatenate([np.minimum(slots, start[-2] + np.arange(1, w + 1)),
+                         start[len(m) - longer[:, ::-1].argmax(1)]])
+    tail_avg = kb[tail * bpp:].any()  # whether the tail holds Up or Average slots
+    lo, mid, hi = ((v * bpp).tolist() for v in (lo, np.clip(tail, lo, hi), hi))  # byte offsets
+    d = d.reshape(n + 2, -1)
+    for k, (i, t, j) in enumerate(zip(lo, mid, hi)):
+        out_k = d[k + 2, i + bpp:j + bpp]  # filtered until decoded
+        if i < t:  # the slots before the tail, and Up and Average in it
+            np.add(out_k, (ka[i:j] * d[k + 1, i + bpp:j + bpp] + kb[i:j] * d[k + 1, i:j]) >> 1,
+                   out=out_k, casting="unsafe")
+        if t < j:
+            ab, c = d[k + 1, t:j + bpp].astype(np.int16), d[k, t:j].astype(np.int16)
+            a, b = ab[bpp:], ab[:-bpp]
+            ac, bc = a - c, b - c
+            pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(ac + bc)
+            # Paeth - c is ac, else bc, else 0: the spec's tie order a, b, c
+            bc *= pb <= pc
+            ac -= bc
+            ac *= (pa <= pb) & (pa <= pc)
+            ac += bc
+            ac += c
+            ac *= kp[t:j]
+            if i == t and tail_avg:  # one expression for every type
+                ac += (ka[t:j] * a + kb[t:j] * b) >> 1
+            np.add(out_k[t - i:], ac, out=out_k[t - i:], casting="unsafe")
+    for s0, (r0, r1) in zip(start.tolist(), segments):
+        out[r0:r1].view(pixels.dtype)[...] = _skewed(pixels, 2, s0 + 1, r1 - r0 + 1, w)[1:]
 
 
 def _skewed(diag, k0, r0, h, w):

@@ -5,16 +5,11 @@ import csv
 import pytest
 
 from fabme.bench import (
-    BenchRow, bench_attention, bench_ss2d, growth_ratios, run_sweep,
-    time_fn, write_bench_csv,
+    BenchRow, bench_attention, bench_ss2d, growth_ratios, run_sweep, write_bench_csv,
 )
 
 
 class TestHarness:
-    def test_time_fn_positive(self):
-        mean_ns, p95_ns = time_fn(lambda: sum(range(1000)), repeats=5, warmup=1)
-        assert 0 < mean_ns <= p95_ns * 1.001
-
     def test_ss2d_row(self):
         row = bench_ss2d(64, d_model=8, d_state=4, repeats=2)
         assert row.operator == "ss2d" and row.L == 64
@@ -36,7 +31,7 @@ class TestHarness:
             run_sweep("matmul")
 
     def test_growth_ratios(self):
-        rows = [BenchRow("x", 1, 1, 1, 10.0, 10.0), BenchRow("x", 4, 1, 1, 40.0, 40.0)]
+        rows = [BenchRow("x", 1, 1, 1, 10.0, 10.0, 10.0), BenchRow("x", 4, 1, 1, 40.0, 40.0, 40.0)]
         assert growth_ratios(rows) == [4.0]
 
     def test_csv_schema(self, tmp_path):

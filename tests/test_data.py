@@ -417,6 +417,60 @@ class TestPngFilters:
         assert peak < 16 * img.nbytes  # one diagonal-major band of 3000 rows would take 54 MB
 
 
+    @pytest.mark.parametrize("color_type", [0, 2, 6])
+    @pytest.mark.parametrize("shape", [(70, 5), (150, 70)], ids=["70x5", "150x70"])
+    @pytest.mark.parametrize("ftype", range(5), ids=["none", "sub", "up", "average", "paeth"])
+    def test_one_filter_type_spans_bands(self, ftype, shape, color_type):
+        # bands of max(w, 64) rows: 64 + 6 rows, and 70 + 70 + 10
+        rng = np.random.default_rng(ftype * 10 + color_type)
+        img = rng.integers(0, 256, (*shape, _CHANNELS[color_type]), dtype=np.uint8)
+        ftypes = np.full(shape[0], ftype)
+        raw = _filter_rows(img.reshape(shape[0], -1), img.shape[2])[ftype]
+        assert np.array_equal(D._unfilter(raw.reshape(img.shape), ftypes.astype(np.uint8)), img)
+
+    @settings(max_examples=80, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)), min_size=1, max_size=40),
+           w=st.sampled_from([1, 2, 3, 5, 8, 64, 65, 70]), color_type=st.sampled_from([0, 2, 4, 6]),
+           levels=st.sampled_from([2, 256]), seed=st.integers(0, 2**32 - 1))
+    def test_filter_runs(self, runs, w, color_type, levels, seed):
+        """Runs of 1-6 rows of one type, in bands of max(w, 64) rows, so
+        that segments start, end and hold Paeth rows at band edges."""
+        ftypes = np.array([t for t, n in runs for _ in range(n)])
+        h = len(ftypes)
+        rng = np.random.default_rng(seed)
+        img = (rng.integers(0, levels, (h, w, _CHANNELS[color_type])) * (255 // (levels - 1))).astype(np.uint8)
+        raw = _filter_rows(img.reshape(h, -1), img.shape[2])[ftypes, np.arange(h)]
+        assert np.array_equal(D._unfilter(raw.reshape(img.shape), ftypes.astype(np.uint8)), img)
+
+    def test_paeth_segments_before_others(self):
+        # Paeth segments first in row order, then 150 segments of Average
+        # and Up rows: 450 slots of 3 bytes, enough to sweep the Paeth tail
+        # apart from them
+        ftypes = np.array([4, 3, 1] * 50 + [3, 2, 1] * 150)
+        rng = np.random.default_rng(3)
+        img = rng.integers(0, 256, (600, 600, 3), dtype=np.uint8)
+        raw = _filter_rows(img.reshape(600, -1), 3)[ftypes, np.arange(600)]
+        assert np.array_equal(D._unfilter(raw.reshape(img.shape), ftypes.astype(np.uint8)), img)
+
+    def test_direct_rows_build_no_sweep(self):
+        # None, Sub and Up rows decode straight into the output; a sweep of
+        # this square band would take a work array twice the image
+        import tracemalloc
+        rng = np.random.default_rng(4)
+        img = rng.integers(0, 256, (256, 256, 3), dtype=np.uint8)
+        ftypes = rng.integers(0, 3, 256)
+        raw = _filter_rows(img.reshape(256, -1), 3)[ftypes, np.arange(256)].reshape(img.shape)
+        ftypes = ftypes.astype(np.uint8)
+        tracemalloc.start()
+        try:
+            back = D._unfilter(raw, ftypes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, img)
+        assert peak < 1.5 * img.nbytes
+
+
 class TestHostileImages:
     """Malformed image files raise ValueError, before any allocation the
     file's own size does not justify."""
@@ -520,6 +574,18 @@ class TestHostileImages:
         path.write_bytes(b"P6\n100000 100000\n255\n" + b"\x00" * 12)
         peak, msg = self._peak(D.read_ppm, path)
         assert "truncated" in msg and peak < 1_000_000
+
+    def test_ppm_long_header_token(self, tmp_path):
+        path = tmp_path / "long.ppm"
+        path.write_bytes(b"P6\n" + b"1" * 1_000_000 + b" 4\n255\n")
+        peak, msg = self._peak(D.read_ppm, path)
+        assert str(path) in msg and "longer than" in msg and peak < 1_000_000
+
+    def test_ppm_non_numeric_size(self, tmp_path):
+        path = tmp_path / "nan.ppm"
+        path.write_bytes(b"P6\n12ab 4\n255\n" + b"\x00" * 144)
+        peak, msg = self._peak(D.read_ppm, path)
+        assert str(path) in msg and "b'12ab' is not a number" in msg and peak < 1_000_000
 
     @pytest.mark.parametrize("header", [b"P6\n0 4\n255\n", b"P6\n-2 -2\n255\n"])
     def test_ppm_bad_size(self, tmp_path, header):
