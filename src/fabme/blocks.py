@@ -308,10 +308,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             (ln,) = struct.unpack("<I", head)
             if ln > size - f.tell():
                 raise ValueError(f"{path}: checkpoint name of {ln} bytes overruns the file")
-            name = f.read(ln).decode()
+            try:
+                name = f.read(ln).decode()
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: checkpoint name is not UTF-8: {e}") from None
             if name in out:
                 raise ValueError(f"{path}: checkpoint names parameter {name!r} twice")
-            out[name] = _read_snapshot(f)
+            try:
+                out[name] = _read_snapshot(f)
+            except ValueError as e:
+                raise ValueError(f"{path}: parameter {name!r}: {e}") from None
     return out
 
 

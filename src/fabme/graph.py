@@ -21,7 +21,7 @@ from fabme.tensor import NonFiniteError, ShapeError, Tensor, _expit
 
 __all__ = [
     "GraphSpec", "FabMEModel", "build_graph", "count_params",
-    "decode", "nms", "VARIANTS", "variant_spec",
+    "decode", "decode_columns", "nms", "VARIANTS", "variant_spec",
     "SCALES", "NECK_POSITIONS",
 ]
 
@@ -224,13 +224,23 @@ _NMS_BLOCK = 256
 
 def decode(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
            iou_thresh=0.45, max_det=300) -> list[list[Detection]]:
+    """decode_columns' detections as one Detection list per image."""
+    return [[Detection(class_id=cid, box=tuple(box), confidence=c)
+             for c, cid, box in zip(conf.tolist(), cls.tolist(), boxes.tolist())]
+            for conf, cls, boxes in decode_columns(outputs, num_classes, strides, conf_thresh,
+                                                   iou_thresh, max_det)]
+
+
+def decode_columns(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
+                   iou_thresh=0.45, max_det=300) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Map raw head outputs to absolute boxes, filter by confidence, and
     apply greedy per-class non-maximum suppression.
 
     Cell (i, j) predicts center (j + sigmoid(tx), i + sigmoid(ty)) * stride
     and size (exp(tw), exp(th)) * stride; score = objectness * class prob.
-    Detections come score descending, ties in candidate order (scale, then
-    class, row, column), at most max_det per image.
+    Per image: (confidence (k,) float64, class id (k,) from 1, corner
+    boxes (k, 4) float64), score descending, ties in candidate order
+    (scale, then class, row, column), at most max_det.
     """
     arrs = [out.data if isinstance(out, Tensor) else np.asarray(out) for out in outputs]
     batch = arrs[0].shape[0]
@@ -265,10 +275,7 @@ def decode(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
         # a box's fate depends only on higher-ranked boxes of its class, so
         # cutting after NMS keeps the same boxes as stopping at max_det
         kept = np.flatnonzero(keep)[:max_det]
-        results.append([
-            Detection(class_id=cid + 1, box=tuple(box), confidence=c)
-            for c, cid, box in zip(conf[kept].tolist(), cls[kept].tolist(), boxes[kept].tolist())
-        ])
+        results.append((conf[kept], cls[kept] + 1, boxes[kept]))
     return results
 
 

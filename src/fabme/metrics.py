@@ -6,7 +6,9 @@ All functions are pure over immutable inputs.  Matching follows the VOC
 protocol: detections ranked by confidence (ties by insertion order), each
 matching the highest-IoU unmatched ground truth of its class and image;
 AP is the area under the monotone-envelope precision-recall curve
-(all-point interpolation).
+(all-point interpolation).  Detections and ground truth are matched as
+`Columns`; sequences of `Detection` and `GroundTruth` are turned into
+columns first.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Detection", "GroundTruth", "ClassAP", "EvalReport",
+    "Detection", "GroundTruth", "Columns", "ClassAP", "EvalReport",
     "pairwise_iou", "match_and_ap", "map50", "write_eval_csv",
 ]
 
@@ -44,6 +46,40 @@ class GroundTruth:
         x1, y1, x2, y2 = self.box
         if not (x1 < x2 and y1 < y2):
             raise ValueError(f"degenerate box {self.box}: requires x1 < x2 and y1 < y2")
+
+
+@dataclass(frozen=True)
+class Columns:
+    """Detections or ground truth as arrays, one row per box: image (n,)
+    int, an image index that the detections and ground truth being matched
+    share; class_id (n,) int; box (n, 4) float64 corners; confidence (n,)
+    float64, None for ground truth."""
+    image: np.ndarray
+    class_id: np.ndarray
+    box: np.ndarray
+    confidence: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.class_id)
+
+
+def _as_columns(dets, gts) -> tuple[Columns, Columns]:
+    """Detection and GroundTruth sequences as Columns over one image index;
+    Columns pass through."""
+    if isinstance(dets, Columns) and isinstance(gts, Columns):
+        return dets, gts
+    index: dict = {}
+
+    def columns(rows, confidence):
+        rows = list(rows)
+        return Columns(
+            image=np.array([index.setdefault(r.image_id, len(index)) for r in rows], dtype=np.intp),
+            class_id=np.array([r.class_id for r in rows], dtype=np.intp),
+            box=np.array([r.box for r in rows], dtype=np.float64).reshape(-1, 4),
+            confidence=np.array([r.confidence for r in rows], dtype=np.float64) if confidence else None,
+        )
+
+    return columns(dets, True), columns(gts, False)
 
 
 @dataclass
@@ -86,30 +122,30 @@ def _envelope_ap(recall: np.ndarray, precision: np.ndarray) -> float:
 
 def match_and_ap(dets, gts, iou_thresh: float = 0.5) -> dict[int, ClassAP]:
     """Greedy per-class matching and AP for every class present in the
-    ground truth."""
-    gts_by_class: dict[int, list[GroundTruth]] = {}
-    for g in gts:
-        gts_by_class.setdefault(g.class_id, []).append(g)
-    dets_by_class: dict[int, list[Detection]] = {}
-    for d in dets:
-        dets_by_class.setdefault(d.class_id, []).append(d)
-
+    ground truth; dets and gts are Columns, or Detection and GroundTruth
+    sequences."""
+    dets, gts = _as_columns(dets, gts)
     result: dict[int, ClassAP] = {}
-    for cid, class_gts in sorted(gts_by_class.items()):
-        # stable sort keeps insertion order among equal confidences
-        ranked = sorted(dets_by_class.get(cid, []), key=lambda d: -d.confidence)
-        gt_boxes: dict = {}
-        for g in class_gts:
-            gt_boxes.setdefault(g.image_id, []).append(g.box)
-        ranks_by_image: dict = {}
-        for rank, d in enumerate(ranked):
-            ranks_by_image.setdefault(d.image_id, []).append(rank)
+    for cid in np.unique(gts.class_id).tolist():
+        # rank by confidence, a stable sort keeping insertion order among
+        # equal confidences; then group the ranks by image, in rank order
+        ranked = np.flatnonzero(dets.class_id == cid)
+        ranked = ranked[np.argsort(-dets.confidence[ranked], kind="stable")]
+        ranks = np.argsort(dets.image[ranked], kind="stable")
+        det_images = dets.image[ranked[ranks]]
+        g = np.flatnonzero(gts.class_id == cid)
+        g = g[np.argsort(gts.image[g], kind="stable")]
+        gt_images = gts.image[g]
         tp = np.zeros(len(ranked))
-        for image_id, ranks in ranks_by_image.items():
-            if image_id not in gt_boxes:
+        starts = np.flatnonzero(np.diff(det_images, prepend=-1))
+        images = det_images[starts]
+        for lo, hi, g_lo, g_hi in zip(starts.tolist(), [*starts[1:].tolist(), len(ranks)],
+                                      np.searchsorted(gt_images, images, side="left").tolist(),
+                                      np.searchsorted(gt_images, images, side="right").tolist()):
+            if g_lo == g_hi:
                 continue
-            ious = pairwise_iou(np.array([ranked[r].box for r in ranks], dtype=np.float64),
-                                np.array(gt_boxes[image_id], dtype=np.float64))
+            image_ranks = ranks[lo:hi]
+            ious = pairwise_iou(dets.box[ranked[image_ranks]], gts.box[g[g_lo:g_hi]])
             # An IoU of 0 or under the threshold never matches, so a row
             # with no other is a false positive whatever ranks before it.
             # The rest, in rank order, take the first unmatched ground truth
@@ -118,35 +154,35 @@ def match_and_ap(dets, gts, iou_thresh: float = 0.5) -> dict[int, ClassAP]:
             for i in np.flatnonzero(ious.any(axis=1)):
                 j = np.argmax(ious[i])
                 if ious[i, j] > 0.0:
-                    tp[ranks[i]] = 1.0
+                    tp[image_ranks[i]] = 1.0
                     ious[:, j] = 0.0
+        n_gt = len(g)
         ctp = np.cumsum(tp)
         cfp = np.cumsum(1.0 - tp)
-        recall = ctp / len(class_gts)
+        recall = ctp / n_gt
         precision = ctp / np.maximum(ctp + cfp, 1e-16)
         n_tp = int(tp.sum())
         result[cid] = ClassAP(
-            class_id=cid, ap=_envelope_ap(recall, precision), n_gt=len(class_gts),
+            class_id=cid, ap=_envelope_ap(recall, precision), n_gt=n_gt,
             n_tp=n_tp, n_fp=len(ranked) - n_tp,
         )
     return result
 
 
 def map50(dets, gts, classes: int = 20, iou_thresh: float = 0.5) -> EvalReport:
-    """Mean of per-class APs over classes with ground truth present.
+    """Mean of per-class APs over classes with ground truth present; dets
+    and gts as match_and_ap takes them.
 
     Classes absent from the ground truth are excluded from the mean; an
     empty ground truth set is an error, not zero.
     """
-    gts = list(gts)
-    if not gts:
+    dets, gts = _as_columns(dets, gts)
+    if not len(gts):
         raise ValueError("map50: no ground truth boxes at all")
-    for g in gts:
-        if not 1 <= g.class_id <= classes:
-            raise ValueError(f"map50: ground-truth class_id {g.class_id} outside 1..{classes}")
-    for d in dets:
-        if not 1 <= d.class_id <= classes:
-            raise ValueError(f"map50: detection class_id {d.class_id} outside 1..{classes}")
+    for kind, cols in (("ground-truth", gts), ("detection", dets)):
+        bad = cols.class_id[(cols.class_id < 1) | (cols.class_id > classes)]
+        if bad.size:
+            raise ValueError(f"map50: {kind} class_id {bad[0]} outside 1..{classes}")
     per_class = match_and_ap(dets, gts, iou_thresh)
     mean_ap = float(np.mean([c.ap for c in per_class.values()]))
     return EvalReport(per_class=per_class, map50=mean_ap)

@@ -16,7 +16,7 @@ import numpy as np
 from fabme import graph, tensor as T
 from fabme.data import Annotation, Sample, load_image, read_config
 from fabme.graph import FabMEModel
-from fabme.metrics import Detection, GroundTruth, map50
+from fabme.metrics import Columns, map50
 from fabme.tensor import Tensor
 
 __all__ = [
@@ -227,29 +227,34 @@ def _snapshot(model) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.named_parameters()}
 
 
-def eval_detections(model: FabMEModel, items, cfg: TrainConfig) -> tuple[list[Detection], list[GroundTruth]]:
-    """The model's decoded predictions for every item and the item's
-    annotations as ground truth, both tagged with its image id."""
-    dets: list[Detection] = []
-    gts: list[GroundTruth] = []
+def eval_detections(model: FabMEModel, items, cfg: TrainConfig) -> tuple[Columns, Columns]:
+    """The model's decoded predictions for every item and the items'
+    annotations as ground truth, as columns whose image index is the
+    item's position in items."""
+    conf, cls, boxes, counts = [np.empty(0)], [np.empty(0, np.intp)], [np.empty((0, 4))], []
+    gt_cls, gt_boxes, gt_counts = [], [], []
     dtype = model.spec.np_dtype()
     for lo in range(0, len(items), cfg.batch_size):
         chunk = items[lo:lo + cfg.batch_size]
         x = Tensor(np.stack([it[0] for it in chunk]).astype(dtype))
         with T.no_grad():
             outs = model(x)
-        # graph.decode is looked up at call time, so a replacement is seen
-        batch_dets = graph.decode(outs, model.spec.num_classes, model.strides,
-                                  conf_thresh=cfg.eval_conf, iou_thresh=cfg.eval_iou)
-        for (img, anns, iid), image_dets in zip(chunk, batch_dets):
+        # graph.decode_columns is looked up at call time, so a replacement is seen
+        decoded = graph.decode_columns(outs, model.spec.num_classes, model.strides,
+                                       conf_thresh=cfg.eval_conf, iou_thresh=cfg.eval_iou)
+        for (img, anns, _), (c, cid, b) in zip(chunk, decoded):
             h, w = img.shape[-2:]
-            # decode's detections are fresh and reach no one else, so they
-            # are tagged in place, as a frozen dataclass's __init__ does,
-            # rather than built a second time
-            for d in image_dets:
-                object.__setattr__(d, "image_id", iid)
-            dets += image_dets
-            gts += [GroundTruth(a.class_id, a.corners(w, h), image_id=iid) for a in anns]
+            conf.append(c)
+            cls.append(cid)
+            boxes.append(b)
+            counts.append(len(c))
+            gt_cls += [a.class_id for a in anns]
+            gt_boxes += [a.corners(w, h) for a in anns]
+            gt_counts.append(len(anns))
+    image = np.arange(len(items))
+    dets = Columns(np.repeat(image, counts), np.concatenate(cls), np.concatenate(boxes), np.concatenate(conf))
+    gts = Columns(np.repeat(image, gt_counts), np.array(gt_cls, dtype=np.intp),
+                  np.array(gt_boxes, dtype=np.float64).reshape(-1, 4))
     return dets, gts
 
 
@@ -257,7 +262,7 @@ def evaluate_map(model: FabMEModel, items, cfg: TrainConfig) -> float:
     """mAP@0.5 of the model's decoded predictions against the items'
     annotations."""
     dets, gts = eval_detections(model, items, cfg)
-    if not gts:
+    if not len(gts):
         raise ValueError("evaluate_map: validation set has no annotations")
     return map50(dets, gts, classes=model.spec.num_classes).map50
 

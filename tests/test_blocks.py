@@ -235,6 +235,18 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("blob,match", [
+        (struct.pack("<I", 2) + b"\xff\xfe" + b"FABT" + struct.pack("<I", 0), "not UTF-8"),
+        (struct.pack("<I", 1) + b"w" + b"FABX" + struct.pack("<I", 0), "bad snapshot magic"),
+        (struct.pack("<I", 1) + b"w" + b"FABT" + struct.pack("<I", 2) + b"\x01\x00", "header truncated"),
+    ], ids=["name-not-utf8", "bad-magic", "truncated-header"])
+    def test_error_names_the_file(self, tmp_path, blob, match):
+        path = tmp_path / "bad.fabck"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=match) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_truncated_or_flipped_is_value_error(self, data):

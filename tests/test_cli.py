@@ -120,8 +120,6 @@ class TestTrainEvalCmds:
         stems = sorted(labels)
         cursor = {"i": 0}
 
-        from fabme.metrics import Detection
-
         def gt_decode(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
                       iou_thresh=0.45, max_det=300):
             n = outputs[0].data.shape[0]
@@ -129,11 +127,12 @@ class TestTrainEvalCmds:
             for _ in range(n):
                 anns = labels[stems[cursor["i"]]]
                 cursor["i"] += 1
-                batch.append([Detection(a.class_id, a.corners(32, 32), 1.0) for a in anns])
+                batch.append((np.ones(len(anns)), np.array([a.class_id for a in anns]),
+                              np.array([a.corners(32, 32) for a in anns]).reshape(-1, 4)))
             return batch
 
         import fabme.graph
-        monkeypatch.setattr(fabme.graph, "decode", gt_decode)
+        monkeypatch.setattr(fabme.graph, "decode_columns", gt_decode)
         capsys.readouterr()
         code = main(["eval", "--model", str(out / "baseline.fabck"),
                      "--data", str(synth_dir), "--out", str(out)])

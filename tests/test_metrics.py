@@ -2,8 +2,9 @@
 brute-force oracle equivalence, and ranking properties."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fabme.metrics import Detection, GroundTruth, map50, match_and_ap, pairwise_iou
+from fabme.metrics import Columns, Detection, GroundTruth, map50, match_and_ap, pairwise_iou
 
 from oracles import box_iou_py, brute_force_map50, random_detection_scene
 
@@ -157,12 +158,30 @@ class TestMap50:
         with pytest.raises(ValueError, match="class_id"):
             map50([], [GroundTruth(21, (0, 0, 1, 1))], classes=20)
 
-    def test_brute_force_agreement_sample(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            dets_raw, gts_raw = random_detection_scene(rng)
-            gts = [GroundTruth(c, b, i) for i, c, b in gts_raw]
-            dets = [Detection(c, b, conf, i) for i, c, b, conf in dets_raw]
-            got = map50(dets, gts, classes=5).map50
-            want = brute_force_map50(dets_raw, gts_raw)
-            assert got == pytest.approx(want, abs=1e-9), seed
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_brute_force_agreement_sample(self, data):
+        ids = data.draw(st.sampled_from([(0, 1, 2, 3), ("a", "b", "c", "d"), (0, "0", "b", 3)]),
+                        label="image ids")
+        box = st.tuples(*[st.integers(0, 12)] * 2, *[st.integers(1, 8)] * 2).map(
+            lambda t: (float(t[0]), float(t[1]), float(t[0] + t[2]), float(t[1] + t[3])))
+        gts_raw = data.draw(st.lists(st.tuples(st.sampled_from(ids[:3]), st.integers(1, 3), box),
+                                     min_size=1, max_size=12), label="gts")
+        dets_raw = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 3), box,
+                                                st.sampled_from([0.25, 0.5, 0.75])),  # ties
+                                      max_size=24), label="dets")
+        # a class with ground truth but no detections; a detection in an
+        # image with no ground truth of its class
+        gts_raw.append((ids[0], 4, (0.0, 0.0, 4.0, 4.0)))
+        dets_raw.append((ids[3], 1, (0.0, 0.0, 4.0, 4.0), 0.5))
+        gts = [GroundTruth(c, b, i) for i, c, b in gts_raw]
+        dets = [Detection(c, b, conf, i) for i, c, b, conf in dets_raw]
+        got = map50(dets, gts, classes=4).map50
+        assert got == pytest.approx(brute_force_map50(dets_raw, gts_raw), abs=1e-9)
+        # the evaluation loop's columns: image index = position in ids
+        det_cols = Columns(np.array([ids.index(d[0]) for d in dets_raw]), np.array([d[1] for d in dets_raw]),
+                           np.array([d[2] for d in dets_raw]), np.array([d[3] for d in dets_raw]))
+        gt_cols = Columns(np.array([ids.index(g[0]) for g in gts_raw]), np.array([g[1] for g in gts_raw]),
+                          np.array([g[2] for g in gts_raw]))
+        assert match_and_ap(det_cols, gt_cols) == match_and_ap(dets, gts)
+        assert map50(det_cols, gt_cols, classes=4).map50 == got

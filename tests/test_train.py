@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fabme import data as D
+from fabme import tensor as T
 from fabme import train as TR
 from fabme.graph import build_graph, decode, variant_spec
 from fabme.metrics import Detection
@@ -212,6 +213,61 @@ class TestTapeSweep:
         assert peak < 42.7e6, f"tape peak {peak / 1e6:.1f} MB"
 
 
+class TestWholeModelGradient:
+    """The tape's gradient of the detection loss over every parameter of
+    nano-test fabme, float64, on one batch of four 64 px scenes, against a
+    central difference along random unit directions in parameter space.
+
+    The loss has kinks (max-pool and global-max argmax switches, the
+    clamps in the box loss).  A step that crosses one fails along that
+    direction only; a wrong gradient fails along every direction.  So each
+    trial passes if any of DIRECTIONS fresh directions agrees to TOL."""
+
+    EPS, TOL, TRIALS, DIRECTIONS = 1e-6, 1e-5, 3, 2
+
+    def test_directional_derivatives(self):
+        model = build_graph(variant_spec("fabme", "nano-test", num_classes=4, input_size=64, seed=0))
+        items = TR.items_from_scenes(TR.gen_synth_dataset(4, 4, seed=1))
+        x = Tensor(np.stack([b[0] for b in items]))
+        targets = TR.build_targets([b[1] for b in items], 64, model.strides, 4, np.float64)
+        cfg = TrainConfig()
+        named = list(model.named_parameters())
+        TR.detection_loss(model(x), targets, model.strides, 4, cfg)[0].backward()
+        assert all(p.grad is not None for _, p in named)
+        base = [p.data for _, p in named]
+
+        def loss_at(vs, step):
+            for (_, p), b, v in zip(named, base, vs):
+                p.data = b + step * v
+            with T.no_grad():
+                return TR.detection_loss(model(x), targets, model.strides, 4, cfg)[0].item()
+
+        rng = np.random.default_rng(0)
+        failed_trials, failures = 0, []
+        try:
+            for trial in range(self.TRIALS):
+                passed = False
+                for k in range(self.DIRECTIONS):
+                    vs = [rng.standard_normal(p.data.shape) for _, p in named]
+                    norm = np.sqrt(sum(float((v * v).sum()) for v in vs))
+                    vs = [v / norm for v in vs]
+                    analytic = sum(float((p.grad * v).sum()) for (_, p), v in zip(named, vs))
+                    numeric = (loss_at(vs, self.EPS) - loss_at(vs, -self.EPS)) / (2 * self.EPS)
+                    err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
+                    if err <= self.TOL:
+                        passed = True
+                    else:
+                        failures.append(f"trial {trial} direction {k}: tape {analytic:.9g}, "
+                                        f"central difference {numeric:.9g}, error {err:.2e}")
+                failed_trials += not passed
+        finally:
+            for (_, p), b in zip(named, base):
+                p.data = b
+        for line in failures:
+            print(line)
+        assert failed_trials == 0, "\n".join(failures)
+
+
 class TestTrainLoop:
     def _tiny(self, n_items=12, size=32, seed=0):
         scenes = TR.gen_synth_dataset(n_items, 2, seed=seed, width=size, height=size)
@@ -253,8 +309,12 @@ class TestTrainLoop:
             outs = model(Tensor(np.stack([it[0] for it in chunk])))
             for (_, _, iid), image_dets in zip(chunk, decode(outs, 2, model.strides, 0.0, cfg.eval_iou)):
                 want += [Detection(d.class_id, d.box, d.confidence, image_id=iid) for d in image_dets]
-        assert want and dets == want
-        assert {g.image_id for g in gts} <= {it[2] for it in va}
+        # the columns' image index is the item's position
+        got = [Detection(c, tuple(b), conf, image_id=va[i][2]) for i, c, b, conf in zip(
+            dets.image.tolist(), dets.class_id.tolist(), dets.box.tolist(), dets.confidence.tolist())]
+        assert want and got == want
+        assert gts.confidence is None
+        assert np.array_equal(gts.image, np.repeat(np.arange(len(va)), [len(it[1]) for it in va]))
 
     def test_empty_dataset_rejected(self):
         model, tr, va = self._tiny()
