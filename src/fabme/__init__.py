@@ -4,7 +4,7 @@ attention, a YOLO-style detection graph, a tiling pipeline, mAP@0.5
 evaluation, and a toy training loop."""
 
 from fabme.tensor import ConvSpec, Tensor, grad_check, no_grad
-from fabme.scan import ScanParams, selective_scan_1d, ss2d
+from fabme.scan import ScanParams, ss2d
 from fabme.blocks import C2F, C2FVMamba, EMCA, SPPF, VSS
 from fabme.graph import GraphSpec, build_graph, count_params, decode, variant_spec
 from fabme.metrics import Detection, GroundTruth, map50, match_and_ap
@@ -15,7 +15,7 @@ from fabme.train import TrainConfig, gen_synth_dataset
 
 __all__ = [
     "Tensor", "ConvSpec", "grad_check", "no_grad",
-    "ScanParams", "selective_scan_1d", "ss2d",
+    "ScanParams", "ss2d",
     "C2F", "C2FVMamba", "EMCA", "SPPF", "VSS",
     "GraphSpec", "build_graph", "count_params", "decode", "variant_spec",
     "Detection", "GroundTruth", "map50", "match_and_ap",

@@ -3,13 +3,16 @@ attention baseline, defended by the linear-vs-quadratic growth check.
 
 Timings are forward-only at float32; results are CSV rows
 (operator, L, d_model, d_state, mean_ns, p95_ns).  A sweep times its points
-in interleaved rounds, and growth ratios compare the points' medians.
+in interleaved rounds, and growth ratios compare the points' medians.  An
+ss2d row also records two memory witnesses taken outside the timed rounds:
+the bytes of its scan states, and the tracemalloc peak of one call.
 """
 from __future__ import annotations
 
 import csv
 import math
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +22,7 @@ from fabme import tensor as T
 from fabme.scan import ScanParams, ss2d
 from fabme.tensor import Tensor
 
-__all__ = ["BenchRow", "bench_ss2d", "bench_attention",
-           "run_sweep", "write_bench_csv", "growth_ratios"]
+__all__ = ["BenchRow", "run_sweep", "write_bench_csv", "growth_ratios"]
 
 
 @dataclass
@@ -33,6 +35,7 @@ class BenchRow:
     p95_ns: float
     median_ns: float
     state_bytes: int = 0  # ss2d only: see _scan_state_bytes
+    peak_bytes: int = 0   # ss2d only: see _peak_bytes
 
 
 def _stats(samples) -> tuple[float, float, float]:
@@ -70,8 +73,20 @@ def _scan_state_bytes(x: Tensor, p: ScanParams) -> int:
     return sum(seen)
 
 
+def _peak_bytes(fn) -> int:
+    """tracemalloc peak of one call of fn: the most memory that numpy and
+    Python held at once during it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _ss2d_case(L: int, d_model: int, d_state: int, seed: int):
-    """The timed call of one ss2d sweep point, and its scan state bytes."""
+    """The timed call of one ss2d sweep point, its scan state bytes and its
+    peak bytes."""
     rng = np.random.default_rng(seed)
     x = _square_map(L, d_model, rng)
     p = ScanParams.create(d_model, d_state=d_state, rng=rng)
@@ -82,12 +97,7 @@ def _ss2d_case(L: int, d_model: int, d_state: int, seed: int):
         with T.no_grad():
             ss2d(x, p)
 
-    return fn, _scan_state_bytes(x, p)
-
-
-def bench_ss2d(L: int, d_model: int = 32, d_state: int = 8,
-               repeats: int = 5, seed: int = 0) -> BenchRow:
-    return run_sweep("ss2d", (L,), d_model, d_state, repeats, seed)[0]
+    return fn, _scan_state_bytes(x, p), _peak_bytes(fn)
 
 
 def naive_attention(x: np.ndarray) -> np.ndarray:
@@ -102,11 +112,7 @@ def naive_attention(x: np.ndarray) -> np.ndarray:
 def _attention_case(L: int, d_model: int, seed: int):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, L, d_model)).astype(np.float32)
-    return (lambda: naive_attention(x)), 0
-
-
-def bench_attention(L: int, d_model: int = 32, repeats: int = 5, seed: int = 0) -> BenchRow:
-    return run_sweep("attention", (L,), d_model, repeats=repeats, seed=seed)[0]
+    return (lambda: naive_attention(x)), 0, 0
 
 
 def run_sweep(op: str, Ls=(256, 1024, 4096), d_model: int = 32, d_state: int = 8,
@@ -124,13 +130,13 @@ def run_sweep(op: str, Ls=(256, 1024, 4096), d_model: int = 32, d_state: int = 8
         raise ValueError(f"unknown benchmark operator {op!r}; expected ss2d or attention")
     samples = [[] for _ in cases]
     for _ in range(repeats):
-        for (fn, _), out in zip(cases, samples):
+        for (fn, *_), out in zip(cases, samples):
             fn()
             t0 = time.perf_counter_ns()
             fn()
             out.append(time.perf_counter_ns() - t0)
-    return [BenchRow(op, L, d_model, d_state, *_stats(s), state_bytes)
-            for L, (_, state_bytes), s in zip(Ls, cases, samples)]
+    return [BenchRow(op, L, d_model, d_state, *_stats(s), *witness)
+            for L, (_, *witness), s in zip(Ls, cases, samples)]
 
 
 def growth_ratios(rows: list[BenchRow]) -> list[float]:

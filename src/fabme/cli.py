@@ -69,11 +69,15 @@ def cmd_train(args) -> int:
         cfg.max_epochs = args.epochs
     if args.stop_map is not None:
         cfg.stop_map = args.stop_map
-    samples = scan_dataset(args.data)
+    root = Path(args.data)
+    if (root / "train").is_dir() and (root / "val").is_dir():  # a `fabme tile` output, as split
+        train_s, val_s = scan_dataset(root / "train"), scan_dataset(root / "val")
+    else:
+        train_s, val_s = split_dataset(scan_dataset(root), seed=cfg.seed)
+    samples = train_s + val_s
     if not samples:
         print(f"error: no images found in {args.data}", file=sys.stderr)
         return 1
-    train_s, val_s = split_dataset(samples, seed=cfg.seed)
     train_items, val_items = load_items(train_s), load_items(val_s)
     num_classes = args.classes or max(
         (a.class_id for s in samples for a in s.annotations), default=20)

@@ -1,5 +1,6 @@
-"""2-D selective scanning: four-directional flattening of a feature map,
-a selective state-space recurrence per direction, and an additive merge.
+"""2-D selective scanning: a selective state-space recurrence run over the
+tokens of a feature map in each of four visiting orders, and an additive
+merge.
 
 The recurrence over a token sequence x_t (d_model channels per token) is
 
@@ -7,9 +8,11 @@ The recurrence over a token sequence x_t (d_model channels per token) is
     y_t = C_t . h_t + D * x_t
 
 with input-dependent dt (softplus-positive), B and C, an input-independent
-negative A (stored as log-magnitudes) and per-channel skip D.  Runtime and
-memory are O(L * d_model * d_state); the scan itself is sequential in t and
-is one tape node with a hand-derived backward pass.
+negative A (stored as log-magnitudes) and per-channel skip D.  dt, B and C
+depend on one token each, so ss2d projects the map's row-major tokens once,
+and a scan direction is only the order in which the recurrence visits them.
+Runtime and memory are O(L * d_model * d_state); the scan itself is
+sequential in t and is one tape node with a hand-derived backward pass.
 """
 from __future__ import annotations
 
@@ -17,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fabme.tensor import (
-    ShapeError, Tensor, _acc, _node, add, exp, linear, neg, softplus,
-)
+from fabme.tensor import ShapeError, Tensor, _acc, _node, add, exp, linear, neg, softplus
 
-__all__ = [
-    "DIRECTIONS", "ScanParams", "flatten_direction", "unflatten_direction",
-    "selective_scan_1d", "ss2d",
-]
+__all__ = ["DIRECTIONS", "ScanParams", "ss2d"]
 
 DIRECTIONS = ("lr", "rl", "tb", "bt")
 
@@ -38,35 +36,16 @@ def direction_perm(h: int, w: int, direction: str) -> np.ndarray:
     return base[::-1] if direction in ("rl", "bt") else base
 
 
-def flatten_direction(x: Tensor, direction: str) -> Tensor:
-    """(n, c, h, w) -> token sequence (n, h*w, c) in scan order."""
-    n, c, h, w = x.data.shape
-    perm = direction_perm(h, w, direction)
-    out = np.ascontiguousarray(x.data.reshape(n, c, h * w)[:, :, perm].transpose(0, 2, 1))
+def _transpose(t: Tensor, shape: tuple) -> Tensor:
+    """Swap the last two axes of t viewed as (n, k, -1), then reshape: takes
+    an (n, c, h, w) map to its (n, h*w, c) row-major tokens, and back."""
+    n, k = t.data.shape[:2]
+    out = np.ascontiguousarray(t.data.reshape(n, k, -1).transpose(0, 2, 1)).reshape(shape)
 
     def backward(g):
-        gt = g.transpose(0, 2, 1)
-        gx = np.empty((n, c, h * w), dtype=g.dtype)
-        gx[:, :, perm] = gt
-        _acc(x, gx.reshape(n, c, h, w))
+        _acc(t, np.ascontiguousarray(g.reshape(n, -1, k).transpose(0, 2, 1)).reshape(t.data.shape))
 
-    return _node(out, (x,), backward, "flatten_direction")
-
-
-def unflatten_direction(seq: Tensor, direction: str, h: int, w: int) -> Tensor:
-    """Inverse of flatten_direction: (n, h*w, c) -> (n, c, h, w)."""
-    n, L, c = seq.data.shape
-    if L != h * w:
-        raise ShapeError(f"unflatten_direction: sequence length {L} != h*w = {h * w}")
-    perm = direction_perm(h, w, direction)
-    xf = np.empty((n, c, L), dtype=seq.data.dtype)
-    xf[:, :, perm] = seq.data.transpose(0, 2, 1)
-    out = xf.reshape(n, c, h, w)
-
-    def backward(g):
-        _acc(seq, np.ascontiguousarray(g.reshape(n, c, L)[:, :, perm].transpose(0, 2, 1)))
-
-    return _node(out, (seq,), backward, "unflatten_direction")
+    return _node(out, (t,), backward, "transpose")
 
 
 @dataclass
@@ -118,20 +97,26 @@ class ScanParams:
             yield (f"{prefix}{name}", getattr(self, name))
 
 
-def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor) -> Tensor:
-    """Core recurrence as a single tape node.
+def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
+                   order: np.ndarray) -> Tensor:
+    """Core recurrence as a single tape node, visiting the L positions in
+    `order` (a permutation of range(L)).  The state after position p is kept
+    at p, so y is in the positions' own order.
 
     x, dt: (n, L, d); A: (d, N) negative; B, C: (n, L, N); D: (d,).
     """
     n, L, d = x.data.shape
     N = A.data.shape[1]
+    steps = order.tolist()
+    if sorted(steps) != list(range(L)):
+        raise ValueError(f"selective_scan: order is not a permutation of range({L})")
     if np.any(dt.data <= 0):
         raise ValueError("selective_scan: non-positive step size dt; softplus constraint violated")
     dA = np.exp(dt.data[:, :, :, None] * A.data[None, None])          # (n, L, d, N)
     dBx = (dt.data * x.data)[:, :, :, None] * B.data[:, :, None, :]   # (n, L, d, N)
     hs = np.empty_like(dA)
     h = np.zeros((n, d, N), dtype=x.data.dtype)
-    for t in range(L):
+    for t in steps:
         h = dA[:, t] * h + dBx[:, t]
         hs[:, t] = h
     y = np.einsum("nldk,nlk->nld", hs, C.data) + D.data * x.data
@@ -144,10 +129,11 @@ def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Te
         gC = np.einsum("nld,nldk->nlk", gy, hs)
         gD = np.einsum("nld,nld->d", gy, x.data)
         carry = np.zeros((n, d, N), dtype=gy.dtype)
-        for t in range(L - 1, -1, -1):
+        for i in range(L - 1, -1, -1):
+            t = steps[i]
             ghb = gy[:, t, :, None] * C.data[:, t, None, :] + carry
-            if t > 0:
-                gexp = ghb * hs[:, t - 1] * dA[:, t]
+            if i > 0:
+                gexp = ghb * hs[:, steps[i - 1]] * dA[:, t]
                 gdt[:, t] = np.einsum("ndk,dk->nd", gexp, A.data)
                 gA += np.einsum("ndk,nd->dk", gexp, dt.data[:, t])
             gb_term = ghb * B.data[:, t, None, :]
@@ -165,31 +151,9 @@ def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Te
     return _node(y, (x, dt, A, B, C, D), backward, "selective_scan")
 
 
-def selective_scan_1d(seq: Tensor, p: ScanParams) -> Tensor:
-    """Run the selective state-space recurrence over token sequences
-    (n, L, d_model); shape is preserved."""
-    n, L, d = seq.data.shape
-    if d != p.d_model:
-        raise ShapeError(f"selective_scan_1d: token width {d} != d_model {p.d_model}")
-    if L < 1:
-        raise ShapeError("selective_scan_1d: empty sequence")
-    pre = add(linear(linear(seq, p.w_dt_down), p.w_dt_up), p.dt_bias)
-    dt = softplus(pre)
-    if np.any(dt.data <= 0):
-        raise ValueError(
-            "selective_scan_1d: softplus underflowed to dt = 0: the step-size "
-            f"pre-activation (dt projection + dt_bias) reaches {pre.data.min():.4g} "
-            f"in {pre.data.dtype}; raise dt_bias or shrink the dt projection"
-        )
-    A = neg(exp(p.a_log))
-    B = linear(seq, p.w_b)
-    C = linear(seq, p.w_c)
-    return selective_scan(seq, dt, A, B, C, p.d_skip)
-
-
 def ss2d(x: Tensor, p: ScanParams) -> Tensor:
-    """Flatten the map in each of the four DIRECTIONS, run the selective
-    scan over each token sequence, inverse-flatten, and sum.
+    """Project the map's row-major tokens once (dt, B, C), run the selective
+    scan over them in each of the four DIRECTIONS' orders, and sum.
 
     Output shape equals input shape (n, d_model, h, w).
     """
@@ -198,8 +162,20 @@ def ss2d(x: Tensor, p: ScanParams) -> Tensor:
         raise ShapeError(f"ss2d: input channels {c} != d_model {p.d_model}")
     if h * w < 1:
         raise ShapeError("ss2d: empty spatial extent")
+    seq = _transpose(x, (n, h * w, c))
+    pre = add(linear(linear(seq, p.w_dt_down), p.w_dt_up), p.dt_bias)
+    dt = softplus(pre)
+    if np.any(dt.data <= 0):
+        raise ValueError(
+            "ss2d: softplus underflowed to dt = 0: the step-size "
+            f"pre-activation (dt projection + dt_bias) reaches {pre.data.min():.4g} "
+            f"in {pre.data.dtype}; raise dt_bias or shrink the dt projection"
+        )
+    A = neg(exp(p.a_log))
+    B = linear(seq, p.w_b)
+    C = linear(seq, p.w_c)
     out = None
     for d in DIRECTIONS:
-        m = unflatten_direction(selective_scan_1d(flatten_direction(x, d), p), d, h, w)
-        out = m if out is None else add(out, m)
-    return out
+        y = selective_scan(seq, dt, A, B, C, p.d_skip, direction_perm(h, w, d))
+        out = y if out is None else add(out, y)
+    return _transpose(out, (n, c, h, w))

@@ -38,10 +38,6 @@ class TrainConfig:
     patience: int = 50
     max_epochs: int = 150
     seed: int = 0
-    box_weight: float = 5.0
-    obj_weight: float = 1.0
-    cls_weight: float = 1.0
-    obj_pos_weight: float = 8.0
     eval_conf: float = 0.01
     eval_iou: float = 0.5
     stop_map: float | None = None
@@ -59,6 +55,12 @@ class TrainConfig:
     @staticmethod
     def from_file(path) -> "TrainConfig":
         return read_config(TrainConfig, path, "train config")
+
+
+# detection_loss weights: the objectness and class terms weigh 1, and a
+# positive cell's objectness BCE weighs OBJ_POS_WEIGHT
+BOX_WEIGHT = 5.0
+OBJ_POS_WEIGHT = 8.0
 
 
 class TrainDivergedError(RuntimeError):
@@ -146,7 +148,8 @@ def build_targets(batch_anns, img_size: int, strides, num_classes: int, dtype):
 
 
 def detection_loss(outputs, targets, strides, num_classes: int, cfg: TrainConfig):
-    """Composite loss over the three scales; returns (scalar Tensor, parts)."""
+    """Composite loss over the three scales; returns (scalar Tensor, parts).
+    The weights are BOX_WEIGHT and OBJ_POS_WEIGHT; no field of cfg is read."""
     total = None
     parts = {"obj": 0.0, "cls": 0.0, "box": 0.0}
     for out, tgt, stride in zip(outputs, targets, strides):
@@ -157,7 +160,7 @@ def detection_loss(outputs, targets, strides, num_classes: int, cfg: TrainConfig
         mask = tgt["mask"]
         npos = float(mask.sum())
 
-        obj_w = 1.0 + (cfg.obj_pos_weight - 1.0) * mask
+        obj_w = 1.0 + (OBJ_POS_WEIGHT - 1.0) * mask
         obj_loss = T.tmean(T.mul(T.bce_with_logits(tobj, tgt["obj"]), Tensor(obj_w)))
 
         cls_map = T.bce_with_logits(tcls, tgt["cls"])
@@ -185,8 +188,7 @@ def detection_loss(outputs, targets, strides, num_classes: int, cfg: TrainConfig
         parts["obj"] += obj_loss.item()
         parts["cls"] += cls_loss.item()
         parts["box"] += box_loss.item()
-        term = T.add(T.add(T.mul(obj_loss, cfg.obj_weight), T.mul(cls_loss, cfg.cls_weight)),
-                     T.mul(box_loss, cfg.box_weight))
+        term = T.add(T.add(obj_loss, cls_loss), T.mul(box_loss, BOX_WEIGHT))
         total = term if total is None else T.add(total, term)
     return total, parts
 

@@ -2,8 +2,9 @@
 detection evaluator (no shared code with fabme.metrics), a direct
 triple-loop convolution, the masked-scatter sigmoid, the masked forms of
 SiLU, channel normalisation and max pooling (forward value and input
-gradient), the per-candidate decode with its Python greedy NMS, and the
-backward sweep that keeps the whole tape until it ends."""
+gradient), the per-candidate decode with its Python greedy NMS, the backward sweep
+that keeps the whole tape until it ends, and ss2d composed of four
+independent per-direction scans."""
 from __future__ import annotations
 
 import numpy as np
@@ -256,3 +257,28 @@ def backward_retaining(root, seed=None):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+
+
+def ss2d_by_direction(x, p):
+    """ss2d as four separate 1-D scans of one (n, c, h, w) map: for each
+    direction, copy the tokens into scan order, project the copy (dt, B,
+    C), run the recurrence step by step, put the outputs back in row-major
+    order, and sum the four maps."""
+    n, c, h, w = x.shape
+    grid = np.arange(h * w).reshape(h, w)
+    orders = (grid.ravel(), grid.ravel()[::-1], grid.T.ravel(), grid.T.ravel()[::-1])
+    tokens = x.reshape(n, c, h * w).transpose(0, 2, 1)
+    A = -np.exp(p.a_log.data)
+    total = np.zeros_like(tokens)
+    for order in orders:
+        seq = tokens[:, order]
+        dt = np.logaddexp(0.0, seq @ p.w_dt_down.data.T @ p.w_dt_up.data.T + p.dt_bias.data)
+        B, C = seq @ p.w_b.data.T, seq @ p.w_c.data.T
+        state = np.zeros((n, c, A.shape[1]))
+        y = np.empty_like(seq)
+        for t in range(h * w):
+            state = (np.exp(dt[:, t, :, None] * A) * state
+                     + (dt[:, t] * seq[:, t])[:, :, None] * B[:, t, None, :])
+            y[:, t] = np.einsum("ndk,nk->nd", state, C[:, t]) + p.d_skip.data * seq[:, t]
+        total[:, order] += y
+    return total.transpose(0, 2, 1).reshape(n, c, h, w)

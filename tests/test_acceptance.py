@@ -115,11 +115,15 @@ def test_criterion_3_ss2d_complexity():
     # the deterministic witness: scan state bytes grow exactly 4x per 4x L
     state = [r.state_bytes for r in ss2d_rows]
     linear_state = state[0] > 0 and all(b == 4 * a for a, b in zip(state, state[1:]))
+    # the memory witness: an ss2d call's peak grows like its time should
+    peaks = [r.peak_bytes for r in ss2d_rows]
+    rp = [b / a for a, b in zip(peaks, peaks[1:])]
     elapsed = time.time() - t0
-    ok = (linear_state and all(3.0 <= r <= 6.0 for r in rs) and all(r >= 12.0 for r in ra)
+    ok = (linear_state and all(3.0 <= r <= 6.0 for r in rs + rp) and all(r >= 12.0 for r in ra)
           and elapsed < 300)
     _report(3, "ss2d linear complexity", ok,
-            f"ss2d state bytes {state}, ss2d ratios {[f'{r:.2f}' for r in rs]}, "
+            f"ss2d state bytes {state}, peak ratios {[f'{r:.2f}' for r in rp]}, "
+            f"ss2d ratios {[f'{r:.2f}' for r in rs]}, "
             f"attention {[f'{r:.2f}' for r in ra]}, {elapsed:.0f}s")
 
 

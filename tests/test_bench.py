@@ -4,27 +4,27 @@ import csv
 
 import pytest
 
-from fabme.bench import (
-    BenchRow, bench_attention, bench_ss2d, growth_ratios, run_sweep, write_bench_csv,
-)
+from fabme.bench import BenchRow, growth_ratios, run_sweep, write_bench_csv
 
 
 class TestHarness:
     def test_ss2d_row(self):
-        row = bench_ss2d(64, d_model=8, d_state=4, repeats=2)
+        row = run_sweep("ss2d", (64,), d_model=8, d_state=4, repeats=2)[0]
         assert row.operator == "ss2d" and row.L == 64
         assert row.d_model == 8 and row.d_state == 4
         assert row.mean_ns > 0
         # four directions of one float32 image: 4 * n*L*d*N*itemsize
         assert row.state_bytes == 4 * 1 * 64 * 8 * 4 * 4
+        # one call holds at least one direction's (n, L, d, N) states
+        assert row.peak_bytes >= row.state_bytes // 4
 
     def test_attention_row(self):
-        row = bench_attention(64, d_model=8, repeats=2)
+        row = run_sweep("attention", (64,), d_model=8, repeats=2)[0]
         assert row.operator == "attention" and row.mean_ns > 0
 
     def test_non_square_L_rejected(self):
         with pytest.raises(ValueError, match="perfect square"):
-            bench_ss2d(200, repeats=1)
+            run_sweep("ss2d", (200,), repeats=1)
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -144,6 +144,38 @@ class TestTrainEvalCmds:
         empty.mkdir()
         assert main(["train", "--data", str(empty), "--out", str(tmp_path / "o")]) == 1
 
+    def test_train_on_tile_output_as_split(self, tmp_path, monkeypatch):
+        from fabme import train as TR
+        src = tmp_path / "src"
+        (src / "images").mkdir(parents=True)
+        (src / "labels").mkdir()
+        scenes = TR.gen_synth_dataset(6, 2, seed=4, width=192, height=128,
+                                      min_defects=2, max_defects=4)
+        for i, scene in enumerate(scenes):
+            D.write_ppm(src / "images" / f"src{i}.ppm", scene.image)
+            D.write_labels(src / "labels" / f"src{i}.txt", scene.annotations)
+        tiles = tmp_path / "tiles"
+        assert main(["tile", "--in", str(src), "--out", str(tiles), "--size", "64"]) == 0
+        seen = {}
+        real_train = TR.train
+
+        def recording_train(model, train_items, val_items, cfg, progress=None):
+            seen["train"] = {it[2] for it in train_items}
+            seen["val"] = {it[2] for it in val_items}
+            return real_train(model, train_items, val_items, cfg, progress)
+
+        monkeypatch.setattr(TR, "train", recording_train)
+        assert main(["train", "--variant", "baseline", "--scale", "nano-test",
+                     "--data", str(tiles), "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+        with open(tiles / "manifest.csv") as f:
+            source_of = {row["tile_id"]: row["source_id"] for row in csv.DictReader(f)}
+        # every tile is used on the side that `fabme tile` put it on
+        for part in ("train", "val"):
+            assert seen[part] == {p.stem for p in (tiles / part / "images").iterdir()}
+        train_sources = {source_of[t] for t in seen["train"]}
+        val_sources = {source_of[t] for t in seen["val"]}
+        assert train_sources and val_sources and not train_sources & val_sources
+
     def test_ablation_table(self, synth_dir, tmp_path):
         out = tmp_path / "abl"
         code = main(["train", "--ablation", "--scale", "nano-test",

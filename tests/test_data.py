@@ -201,6 +201,15 @@ class TestKeyValueConfig:
         with pytest.raises(ValueError, match=re.escape(str(path)) + error.format(kind=kind)):
             from_file(path)
 
+    @pytest.mark.parametrize("key", ["box_weight", "obj_weight", "cls_weight", "obj_pos_weight"])
+    def test_loss_weights_are_not_train_keys(self, tmp_path, key):
+        # the loss weights are constants of fabme.train, not settings
+        from fabme.train import TrainConfig
+        path = tmp_path / "c.cfg"
+        path.write_text(f"seed=1\n{key}=2.0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + f":2: unknown train config key '{key}'"):
+            TrainConfig.from_file(path)
+
     def test_blank_lines_comments_and_spaces(self, reader, tmp_path):
         from_file, _ = reader
         path = tmp_path / "c.cfg"

@@ -1,39 +1,49 @@
-"""Selective scan: direction permutations, recurrence oracles, gradients,
-and the bounded-state decay property."""
+"""Selective scan: direction orders, the token transpose, recurrence
+oracles, gradients, and the bounded-state decay property."""
 import numpy as np
 import pytest
 
 from fabme import tensor as T
-from fabme.scan import (
-    DIRECTIONS, ScanParams, direction_perm, flatten_direction,
-    selective_scan, selective_scan_1d, ss2d, unflatten_direction,
-)
+from fabme.scan import DIRECTIONS, ScanParams, _transpose, direction_perm, selective_scan, ss2d
 from fabme.tensor import Tensor
+from oracles import ss2d_by_direction
+
+
+def _tokens(x: Tensor) -> Tensor:
+    n, c, h, w = x.data.shape
+    return _transpose(x, (n, h * w, c))
+
+
+def _scan_inputs(rng, n, L, d, N):
+    """x, dt, A, B, C, D of a selective_scan over L positions."""
+    return (Tensor(rng.standard_normal((n, L, d))), Tensor(rng.random((n, L, d)) * 0.5 + 0.05),
+            Tensor(-rng.random((d, N)) - 0.2), Tensor(rng.standard_normal((n, L, N))),
+            Tensor(rng.standard_normal((n, L, N))), Tensor(rng.standard_normal(d)))
 
 
 class TestCrossScan:
     def test_2x2_permutation_oracle(self):
         # tokens a,b,c,d in row-major order
-        x = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
         want = {"lr": [0, 1, 2, 3], "rl": [3, 2, 1, 0], "tb": [0, 2, 1, 3], "bt": [3, 1, 2, 0]}
         for d, order in want.items():
-            seq = flatten_direction(x, d)
-            assert seq.data[0, :, 0].tolist() == [float(v) for v in order], d
+            assert direction_perm(2, 2, d).tolist() == order, d
 
     def test_single_token(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 1, 1)))
+        tokens = _tokens(x)
+        assert tokens.data.shape == (1, 1, 3)
+        assert np.array_equal(tokens.data[0, 0], x.data[0, :, 0, 0])
         for d in DIRECTIONS:
-            tokens = flatten_direction(x, d)
-            assert tokens.data.shape == (1, 1, 3)
-            assert np.array_equal(tokens.data[0, 0], x.data[0, :, 0, 0])
+            assert direction_perm(1, 1, d).tolist() == [0]
 
     def test_inverse_exhaustive_up_to_4(self):
         for h in range(1, 5):
             for w in range(1, 5):
                 x = Tensor(np.random.default_rng(h * 8 + w).standard_normal((2, 3, h, w)))
-                for d in DIRECTIONS:
-                    back = unflatten_direction(flatten_direction(x, d), d, h, w)
-                    assert np.array_equal(back.data, x.data), (h, w, d)
+                tokens = _tokens(x)
+                assert np.array_equal(tokens.data, x.data.reshape(2, 3, h * w).transpose(0, 2, 1))
+                back = _transpose(tokens, (2, 3, h, w))
+                assert np.array_equal(back.data, x.data), (h, w)
 
     def test_each_direction_is_bijection(self):
         for h in range(1, 5):
@@ -42,13 +52,14 @@ class TestCrossScan:
                     perm = direction_perm(h, w, d)
                     assert sorted(perm.tolist()) == list(range(h * w))
 
-    def test_flatten_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 3, 2)))
-        m = Tensor(rng.standard_normal((1, 6, 2)))
-        for d in DIRECTIONS:
-            rep = T.grad_check(lambda a: T.tsum(T.mul(flatten_direction(a, d), m)),
-                               [Tensor(x.data.copy())])
-            assert rep.passed, (d, str(rep))
+    def test_token_transpose_gradcheck(self, rng):
+        x = Tensor(rng.standard_normal((2, 2, 3, 2)))
+        m = Tensor(rng.standard_normal((2, 6, 2)))
+        rep = T.grad_check(lambda a: T.tsum(T.mul(_tokens(a), m)), [x])
+        assert rep.passed, str(rep)
+        back = Tensor(rng.standard_normal((2, 2, 3, 2)))
+        rep = T.grad_check(lambda a: T.tsum(T.mul(_transpose(a, (2, 2, 3, 2)), back)), [m])
+        assert rep.passed, str(rep)
 
 
 class TestSelectiveScan:
@@ -60,7 +71,7 @@ class TestSelectiveScan:
         B = Tensor(np.ones((1, 3, 1)))
         C = Tensor(np.ones((1, 3, 1)))
         D = Tensor(np.zeros(1))
-        y = selective_scan(x, dt, A, B, C, D)
+        y = selective_scan(x, dt, A, B, C, D, np.arange(3))
         assert np.allclose(y.data.reshape(-1), [1.0, 0.5, 0.25], atol=1e-15)
 
     def test_length_one_no_history(self, rng):
@@ -70,7 +81,7 @@ class TestSelectiveScan:
         B = Tensor(rng.standard_normal((2, 1, 4)))
         C = Tensor(rng.standard_normal((2, 1, 4)))
         D = Tensor(rng.standard_normal(3))
-        y = selective_scan(x, dt, A, B, C, D)
+        y = selective_scan(x, dt, A, B, C, D, np.arange(1))
         want = (np.einsum("nk,ndk->nd", C.data[:, 0],
                           (dt.data[:, 0] * x.data[:, 0])[:, :, None] * B.data[:, 0][:, None, :])
                 + D.data * x.data[:, 0])
@@ -84,7 +95,7 @@ class TestSelectiveScan:
         B = Tensor(rng.standard_normal((1, 5, 3)))
         C = Tensor(rng.standard_normal((1, 5, 3)))
         D = Tensor(rng.standard_normal(2))
-        y = selective_scan(x, dt, A, B, C, D)
+        y = selective_scan(x, dt, A, B, C, D, np.arange(5))
         per_token = (np.einsum("nlk,nldk->nld", C.data,
                                (dt.data * x.data)[:, :, :, None] * B.data[:, :, None, :])
                      + D.data * x.data)
@@ -98,7 +109,12 @@ class TestSelectiveScan:
         C = Tensor(rng.standard_normal((1, 2, 2)))
         D = Tensor(np.ones(2))
         with pytest.raises(ValueError, match="step size"):
-            selective_scan(x, dt, A, B, C, D)
+            selective_scan(x, dt, A, B, C, D, np.arange(2))
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [1, 2, 3]])
+    def test_order_must_be_a_permutation(self, order, rng):
+        with pytest.raises(ValueError, match="not a permutation"):
+            selective_scan(*_scan_inputs(rng, 1, 3, 2, 2), np.array(order))
 
     @pytest.mark.parametrize("dtype, pre, ok", [
         (np.float32, -110.0, False), (np.float64, -800.0, False),
@@ -110,25 +126,28 @@ class TestSelectiveScan:
             t.data = t.data.astype(dtype)
         p.w_dt_up.data[:] = 0.0  # the pre-activation is dt_bias alone
         p.dt_bias.data[:] = pre
-        seq = Tensor(rng.standard_normal((1, 3, 4)).astype(dtype))
+        x = Tensor(rng.standard_normal((1, 4, 1, 3)).astype(dtype))
         if ok:
-            assert np.all(np.isfinite(selective_scan_1d(seq, p).data))
+            assert np.all(np.isfinite(ss2d(x, p).data))
             return
-        with pytest.raises(ValueError, match=r"underflowed to dt = 0.*pre-activation.*dt_bias"):
-            selective_scan_1d(seq, p)
+        with pytest.raises(ValueError, match=r"ss2d: .*underflowed to dt = 0.*pre-activation.*dt_bias"):
+            ss2d(x, p)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_raw_scan_gradcheck(self, seed):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((2, 4, 2)))
-        dt = Tensor(rng.random((2, 4, 2)) * 0.5 + 0.05)
-        A = Tensor(-rng.random((2, 3)) - 0.2)
-        B = Tensor(rng.standard_normal((2, 4, 3)))
-        C = Tensor(rng.standard_normal((2, 4, 3)))
-        D = Tensor(rng.standard_normal(2))
-        rep = T.grad_check(lambda *ts: T.tsum(T.silu(selective_scan(*ts))),
-                           [x, dt, A, B, C, D])
+        inputs = _scan_inputs(np.random.default_rng(seed), 2, 4, 2, 3)
+        rep = T.grad_check(lambda *ts: T.tsum(T.silu(selective_scan(*ts, np.arange(4)))),
+                           list(inputs))
         assert rep.passed, str(rep)
+
+    @pytest.mark.parametrize("direction", ["rl", "tb", "bt"])
+    def test_ordered_scan_gradcheck(self, direction):
+        # a 2x3 map: every direction's order differs from the identity
+        order = direction_perm(2, 3, direction)
+        inputs = _scan_inputs(np.random.default_rng(5), 2, 6, 2, 3)
+        rep = T.grad_check(lambda *ts: T.tsum(T.silu(selective_scan(*ts, order))),
+                           list(inputs), tol=1e-5)
+        assert rep.passed, (direction, str(rep))
 
     def test_state_decay_bound(self):
         # Abar in (0,1) with dt>0, A<0; scalar case bounded by geometric series
@@ -142,7 +161,7 @@ class TestSelectiveScan:
         abar = np.exp(0.7 * -1.0)
         assert 0.0 < abar < 1.0
         bound = 0.8 * (0.7 * 0.9) / (1.0 - abar) + 0.5
-        y = selective_scan(x, dt, A, B, C, D)
+        y = selective_scan(x, dt, A, B, C, D, np.arange(L))
         assert np.all(np.abs(y.data) <= bound + 1e-12)
 
     def test_abar_in_unit_interval(self, rng):
@@ -165,11 +184,26 @@ class TestSS2D:
         p = ScanParams.create(4, d_state=2, rng=rng)
         p.a_log.data[:] = np.log(1e9)  # A = -1e9 -> Abar ~ 0
         x = Tensor(rng.standard_normal((1, 4, 3, 3)))
-        outs = [unflatten_direction(selective_scan_1d(flatten_direction(x, d), p), d, 3, 3).data
+        seq = _tokens(x).data
+        dt = Tensor(np.logaddexp(0.0, seq @ p.w_dt_down.data.T @ p.w_dt_up.data.T + p.dt_bias.data))
+        A = Tensor(-np.exp(p.a_log.data))
+        B, C = Tensor(seq @ p.w_b.data.T), Tensor(seq @ p.w_c.data.T)
+        outs = [selective_scan(Tensor(seq), dt, A, B, C, p.d_skip, direction_perm(3, 3, d)).data
                 for d in DIRECTIONS]
         for o in outs[1:]:
             assert np.allclose(outs[0], o, atol=1e-12)
-        assert np.allclose(ss2d(x, p).data, 4.0 * outs[0], atol=1e-10)
+        want = 4.0 * outs[0].transpose(0, 2, 1).reshape(1, 4, 3, 3)
+        assert np.allclose(ss2d(x, p).data, want, atol=1e-10)
+
+    def test_matches_per_direction_oracle(self):
+        # n = 2 and every map up to 4x4, in float64
+        for h in range(1, 5):
+            for w in range(1, 5):
+                rng = np.random.default_rng(h * 8 + w)
+                p = ScanParams.create(3, d_state=2, rng=rng)
+                x = rng.standard_normal((2, 3, h, w))
+                np.testing.assert_allclose(ss2d(Tensor(x), p).data, ss2d_by_direction(x, p),
+                                           rtol=1e-12, atol=0, err_msg=f"{h}x{w}")
 
     def test_channel_mismatch_rejected(self, rng):
         p = ScanParams.create(4, rng=rng)
