@@ -128,6 +128,7 @@ def cmd_eval(args) -> int:
     from fabme.metrics import map50, write_eval_csv
     from fabme.train import TrainConfig, eval_detections, load_items
 
+    cfg = TrainConfig(eval_conf=args.conf)  # a bad --conf fails before any file is read
     out = _out_dir(args)
     spec_path = Path(args.spec) if args.spec else Path(str(args.model) + ".spec")
     if not spec_path.exists():
@@ -145,7 +146,7 @@ def cmd_eval(args) -> int:
         print(f"error: no images found in {args.data}", file=sys.stderr)
         return 1
     items = load_items(samples)
-    dets, gts = eval_detections(model, items, TrainConfig(eval_conf=args.conf))
+    dets, gts = eval_detections(model, items, cfg)
     report = map50(dets, gts, classes=spec.num_classes)
     write_eval_csv(out / "eval.csv", report)
     print(f"mAP@0.5 = {100.0 * report.map50:.2f}%")

@@ -10,6 +10,7 @@ over distinct inputs are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from fabme.tensor import NonFiniteError, ShapeError, Tensor, _expit
 
 __all__ = [
     "GraphSpec", "FabMEModel", "build_graph", "count_params",
-    "decode", "decode_columns", "nms", "VARIANTS", "variant_spec",
+    "decode", "decode_columns", "VARIANTS", "variant_spec",
     "SCALES", "NECK_POSITIONS",
 ]
 
@@ -217,9 +218,12 @@ def count_params(model: Module) -> int:
     return int(sum(t.data.size for _, t in model.named_parameters()))
 
 
-# Rows of the pairwise IoU that NMS holds at once: its largest temporary
-# is _NMS_BLOCK x k for k boxes of one class.
-_NMS_BLOCK = 256
+# Elements of the largest arrays that one round of decode_columns builds:
+# per image, the IoUs of the cells of its kept boxes and window, and a
+# table of those cells by class, so images x cells x max(cells, classes)
+# with at most kept + window cells per image.  A window is at most
+# isqrt(_ROUND_ELEMENTS) // 2 candidates of an image.
+_ROUND_ELEMENTS = 1 << 20
 
 
 def decode(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
@@ -241,57 +245,112 @@ def decode_columns(outputs, num_classes, strides=(8, 16, 32), conf_thresh=0.25,
     Per image: (confidence (k,) float64, class id (k,) from 1, corner
     boxes (k, 4) float64), score descending, ties in candidate order
     (scale, then class, row, column), at most max_det.
+
+    Suppression runs in rounds, each over the next window of every
+    unfinished image's ranked candidates, until an image holds max_det
+    boxes or has no candidates left (see _settle_window).
     """
+    if max_det < 0:
+        raise ValueError(f"decode: max_det {max_det} must be >= 0")
     arrs = [out.data if isinstance(out, Tensor) else np.asarray(out) for out in outputs]
     batch = arrs[0].shape[0]
-    per_image: list[list[tuple]] = [[] for _ in range(batch)]  # (conf, class index, boxes) per scale
-    for arr, stride in zip(arrs, strides):
+    # cells are numbered image by image, then scale by scale, row by row
+    first = np.cumsum([0] + [arr.shape[2] * arr.shape[3] for arr in arrs])
+    per_image = int(first[-1])
+    boxes = np.zeros((batch * per_image, 4))  # filled at the candidate cells
+    parts = []  # per scale: each candidate's confidence, class index and cell
+    for arr, stride, base in zip(arrs, strides, first):
         n, ch, hh, ww = arr.shape
         if ch != 5 + num_classes:
             raise ShapeError(f"decode: {ch} channels but expected {5 + num_classes}")
         scores = _expit(arr[:, 4])[:, None] * _expit(arr[:, 5:])  # (n, nc, h, w)
-        for b in range(n):
-            k, i, j = np.nonzero(scores[b] > conf_thresh)
-            tx, ty, tw, th = arr[b][:4, i, j]
-            # the integer cell indices promote the centers, and so the
-            # corners, to float64; the sizes stay in the head's dtype
-            cx = (_expit(tx) + j) * stride
-            cy = (_expit(ty) + i) * stride
-            bw = np.exp(np.clip(tw, -20.0, 8.0)) * stride
-            bh = np.exp(np.clip(th, -20.0, 8.0)) * stride
-            x1 = cx - bw / 2
-            y1 = cy - bh / 2
-            boxes = np.stack([x1, y1, x1 + bw, y1 + bh], axis=1)
-            per_image[b].append((scores[b][k, i, j].astype(np.float64), k, boxes))
-    results = []
-    for parts in per_image:
-        conf, cls, boxes = (np.concatenate(p) for p in zip(*parts))
-        order = np.argsort(-conf, kind="stable")
-        conf, cls, boxes = conf[order], cls[order], boxes[order]
-        keep = np.zeros(len(conf), dtype=bool)
-        for c in np.unique(cls):
-            idx = np.flatnonzero(cls == c)
-            keep[idx[nms(boxes[idx], conf[idx], iou_thresh)]] = True
-        # a box's fate depends only on higher-ranked boxes of its class, so
-        # cutting after NMS keeps the same boxes as stopping at max_det
-        kept = np.flatnonzero(keep)[:max_det]
-        results.append((conf[kept], cls[kept] + 1, boxes[kept]))
-    return results
+        hit = scores > conf_thresh
+        cb, ci, cj = np.nonzero(hit.any(axis=1))
+        tx, ty, tw, th = np.moveaxis(arr[:, :4], 1, 0)[:, cb, ci, cj]
+        # the integer cell indices promote the centers, and so the
+        # corners, to float64; the sizes stay in the head's dtype
+        cx = (_expit(tx) + cj) * stride
+        cy = (_expit(ty) + ci) * stride
+        bw = np.exp(np.clip(tw, -20.0, 8.0)) * stride
+        bh = np.exp(np.clip(th, -20.0, 8.0)) * stride
+        x1 = cx - bw / 2
+        y1 = cy - bh / 2
+        boxes[cb * per_image + base + ci * ww + cj] = np.stack([x1, y1, x1 + bw, y1 + bh], axis=1)
+        b, k, i, j = np.nonzero(hit)
+        parts.append((scores[b, k, i, j].astype(np.float64), k, b * per_image + base + i * ww + j))
+    conf, cls, cell = (np.concatenate(p) for p in zip(*parts))
+    # rank each image's candidates by score, ties in candidate order
+    order = np.argsort(-conf, kind="stable")
+    order = order[np.argsort(cell[order] // per_image, kind="stable")]
+    conf, cls, cell = conf[order], cls[order], cell[order]
+    starts = np.searchsorted(cell, np.arange(batch + 1) * per_image)
+    kept = [np.empty(0, dtype=np.intp) for _ in range(batch)]  # ranks, per image
+    done = starts[:-1].copy()  # the first rank not yet settled, per image
+    width = max(1, isqrt(_ROUND_ELEMENTS) // 2)
+    while True:
+        todo = [b for b in range(batch) if len(kept[b]) < max_det and done[b] < starts[b + 1]]
+        if not todo:
+            break
+        # as many images as fit in the budget, at least one
+        group, r, k = [], 0, 0
+        for b in todo:
+            r1, k1 = max(r, min(width, starts[b + 1] - done[b])), max(k, len(kept[b]))
+            if group and (len(group) + 1) * (k1 + r1) * max(k1 + r1, num_classes) > _ROUND_ELEMENTS:
+                break
+            group, r, k = group + [b], r1, k1
+        r = max(1, min(r, isqrt(_ROUND_ELEMENTS) - k))  # one image with many kept boxes
+        windows = [np.arange(done[b], min(done[b] + r, starts[b + 1])) for b in group]
+        keeps = _settle_window([kept[b] for b in group], windows, cls, cell, boxes,
+                               np.array(group) * per_image, num_classes, iou_thresh)
+        for b, w, keep in zip(group, windows, keeps):
+            # a box's fate depends only on higher-ranked boxes of its
+            # class, so stopping at max_det keeps the same boxes as
+            # settling every candidate and cutting afterwards
+            kept[b] = np.concatenate((kept[b], w[keep]))[:max_det]
+            done[b] += len(w)
+    return [(conf[kb], cls[kb] + 1, boxes[cell[kb]]) for kb in kept]
 
 
-def nms(boxes, scores, iou_thresh=0.45) -> list[int]:
-    """Greedy NMS over one class; returns kept indices in score order
-    (ties broken by input order).  A box is dropped when its IoU with a
-    higher-ranked kept box exceeds iou_thresh."""
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
-    keep = np.ones(len(boxes), dtype=bool)
-    for r0 in range(0, len(boxes), _NMS_BLOCK):
-        r1 = min(r0 + _NMS_BLOCK, len(boxes))
-        over = pairwise_iou(boxes[r0:r1], boxes[:r1]) > iou_thresh
-        over &= np.arange(r1) < np.arange(r0, r1)[:, None]  # higher-ranked boxes only
-        # a box that overlaps no higher-ranked box is kept outright; the
-        # rest are decided in rank order against the boxes kept so far
-        for r in np.flatnonzero(over.any(axis=1)):
-            keep[r0 + r] = not np.any(over[r] & keep[:r1])
-    return order[keep].tolist()
+def _settle_window(kept, windows, cls, cell, boxes, first_cell, num_classes,
+                   iou_thresh) -> list[np.ndarray]:
+    """Which candidates of each image's window greedy NMS keeps, given the
+    ranks the image kept before it; first_cell holds each image's first
+    cell index.  A candidate is kept if and only if no higher-ranked kept
+    candidate of its class overlaps it by more than iou_thresh.  That rule
+    has one solution, the greedy one, so iterating it to a fixed point is
+    exact.  Returns a bool per window candidate."""
+    # entries: each image's kept ranks, then its window's, so in rank order
+    ranks = np.concatenate([a for pair in zip(kept, windows) for a in pair])
+    sizes = [len(kp) + len(w) for kp, w in zip(kept, windows)]
+    image = np.repeat(np.arange(len(sizes)), sizes)
+    window_of = np.concatenate([np.arange(size) >= len(kp) for kp, size in zip(kept, sizes)])
+    e_cls, e_cell = cls[ranks], cell[ranks]
+    # the IoU of every two distinct cells of an image's entries, once for
+    # all classes; an image's cells take slots 0, 1, ... and zero boxes pad
+    cells = np.unique(e_cell)
+    cell_img = np.searchsorted(first_cell, cells, side="right") - 1
+    cell_slot = np.arange(len(cells)) - np.searchsorted(cells, first_cell)[cell_img]
+    cell_box = np.zeros((len(sizes), cell_slot.max() + 1, 4))
+    cell_box[cell_img, cell_slot] = boxes[cells]
+    over_img, over_row, over_col = np.nonzero(pairwise_iou(cell_box, cell_box) > iou_thresh)
+    # each entry by (image, cell slot, class); an edge joins a window entry to
+    # a higher-ranked entry of its class whose cell overlaps its own
+    slot = np.full((len(sizes), cell_box.shape[1], num_classes), -1)
+    slot[image, cell_slot[np.searchsorted(cells, e_cell)], e_cls] = np.arange(len(ranks))
+    a, b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    step = max(1, _ROUND_ELEMENTS // num_classes)
+    for lo in range(0, len(over_img), step):  # (cell pair, class) lookups within the budget
+        ga = slot[over_img[lo:lo + step], over_row[lo:lo + step]]
+        gb = slot[over_img[lo:lo + step], over_col[lo:lo + step]]
+        edge = (gb >= 0) & (gb < ga) & window_of[ga]  # entries are in rank order
+        a.append(ga[edge])
+        b.append(gb[edge])
+    a, b = np.concatenate(a), np.concatenate(b)
+    keep = np.ones(len(ranks), dtype=bool)  # kept entries stay kept
+    while True:
+        settled = np.ones(len(ranks), dtype=bool)
+        settled[a[keep[b]]] = False
+        if np.array_equal(settled, keep):
+            return np.split(keep[window_of], np.cumsum([len(w) for w in windows])[:-1])
+        keep = settled
+

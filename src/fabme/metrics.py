@@ -98,15 +98,16 @@ class EvalReport:
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every corner box in a (m, 4) against every one in b (k, 4),
-    as an (m, k) array; 0 where the boxes do not overlap or the union is
-    not positive."""
-    a = a[:, None, :]
-    iw = np.maximum(0.0, np.minimum(a[..., 2], b[:, 2]) - np.maximum(a[..., 0], b[:, 0]))
-    ih = np.maximum(0.0, np.minimum(a[..., 3], b[:, 3]) - np.maximum(a[..., 1], b[:, 1]))
+    """IoU of every corner box in a (..., m, 4) against every one in b
+    (..., k, 4), as an (..., m, k) array, the leading axes broadcast; 0
+    where the boxes do not overlap or the union is not positive."""
+    a = a[..., :, None, :]
+    b = b[..., None, :, :]
+    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
     inter = iw * ih
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 

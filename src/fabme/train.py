@@ -51,6 +51,10 @@ class TrainConfig:
             raise ValueError("TrainConfig.patience must be >= 1")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError(f"TrainConfig.seed {self.seed} must be >= 0")
+        if not 0.0 <= self.eval_conf < 1.0:  # scores are in (0, 1)
+            raise ValueError(f"TrainConfig.eval_conf {self.eval_conf} must be in [0, 1)")
+        if not 0.0 <= self.eval_iou <= 1.0:
+            raise ValueError(f"TrainConfig.eval_iou {self.eval_iou} must be in [0, 1]")
 
     @staticmethod
     def from_file(path) -> "TrainConfig":

@@ -109,6 +109,12 @@ class TestTrainEvalCmds:
         assert main(["eval", "--model", str(tmp_path / "nope.fabck"),
                      "--data", str(synth_dir), "--out", str(tmp_path / "o")]) == 1
 
+    def test_eval_bad_conf_exit_1(self, tmp_path, capsys):
+        # the threshold is checked before the checkpoint or data are read
+        assert main(["eval", "--model", str(tmp_path / "nope.fabck"), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "o"), "--conf", "2"]) == 1
+        assert "TrainConfig.eval_conf 2.0 must be in [0, 1)" in capsys.readouterr().err
+
     def test_eval_on_ground_truth_is_100_percent(self, synth_dir, tmp_path,
                                                  capsys, monkeypatch):
         # an oracle model whose predictions are the ground truth itself

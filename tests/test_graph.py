@@ -1,17 +1,19 @@
 """Model graph: presets, placements, toggle isolation, shape contract,
 decoding and NMS."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fabme import tensor as T
+from fabme import graph as G, tensor as T
 from fabme.blocks import C2FVMamba, Conv, Module
 from fabme.graph import (
-    VARIANTS, GraphSpec, build_graph, count_params, decode, nms, variant_spec,
+    VARIANTS, GraphSpec, build_graph, count_params, decode, decode_columns, variant_spec,
 )
 from fabme.tensor import ShapeError, Tensor
 
-from oracles import box_iou_py, decode_loop
+from oracles import decode_loop
 
 
 def _module_counts(model):
@@ -209,14 +211,52 @@ class TestDecode:
         cx, cy = (d.box[0] + d.box[2]) / 2, (d.box[1] + d.box[3]) / 2
         assert cx == pytest.approx((2 + 0.5) * 8) and cy == pytest.approx((3 + 0.5) * 8)
 
+    @staticmethod
+    def _one_class_head(cells, side=8):
+        """A stride-8 single-class head whose only candidates are cells
+        {(i, j): (tx, tw, th, objectness logit)}; ty is 0."""
+        out = np.zeros((1, 6, side, side))
+        out[0, 4] = -40.0
+        for (i, j), (tx, tw, th, obj) in cells.items():
+            out[0, [0, 2, 3, 4, 5], i, j] = tx, tw, th, obj, 40.0  # class prob 1
+        return [out]
+
     def test_nms_hand_trace(self):
-        boxes = [(0.0, 0.0, 10.0, 10.0), (0.0, 0.0, 10.0, 10.0)]
-        keep = nms(boxes, [0.9, 0.8], iou_thresh=0.5)
-        assert keep == [0]
+        # sigmoid(40) rounds to 1 and 1 + sigmoid(-40) to 1, so both cells
+        # predict the same 16x16 box; the lower score is suppressed
+        outs = self._one_class_head({(0, 0): (40.0, np.log(2), np.log(2), np.log(0.9 / 0.1)),
+                                     (0, 1): (-40.0, np.log(2), np.log(2), np.log(0.8 / 0.2))})
+        [(conf, cls, boxes)] = decode_columns(outs, 1, (8,), conf_thresh=0.5, iou_thresh=0.5)
+        assert conf.tolist() == pytest.approx([0.9], abs=1e-12) and cls.tolist() == [1]
+        assert boxes.tolist() == [[0.0, -4.0, 16.0, 12.0]]
 
     def test_nms_disjoint_survive(self):
-        boxes = [(0, 0, 10, 10), (20, 20, 30, 30)]
-        assert nms(boxes, [0.9, 0.8], 0.5) == [0, 1]
+        # far-apart boxes both survive, ranked by score, not by cell
+        outs = self._one_class_head({(0, 0): (0.0, 0.0, 0.0, 1.0), (5, 5): (0.0, 0.0, 0.0, 2.0)})
+        [(conf, cls, boxes)] = decode_columns(outs, 1, (8,), conf_thresh=0.5, iou_thresh=0.5)
+        assert conf[0] > conf[1] and cls.tolist() == [1, 1]
+        assert boxes.tolist() == [[40.0, 40.0, 48.0, 48.0], [0.0, 0.0, 8.0, 8.0]]
+
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_suppression_chain(self, budget, monkeypatch):
+        # each box overlaps only its row neighbours (IoU 4.8 / 20.8 > 0.1),
+        # and scores fall along each row: greedy NMS keeps every other
+        # cell, which takes one fixed-point step per link of the chain
+        if budget is not None:
+            monkeypatch.setattr(G, "_ROUND_ELEMENTS", budget)
+        outs = self._one_class_head({(i, j): (0.0, np.log(1.6), np.log(0.5), 3.0 - 0.5 * j + 0.01 * i)
+                                     for i in range(8) for j in range(8)})
+        got = decode(outs, 1, (8,), conf_thresh=0.01, iou_thresh=0.1)
+        assert _exact([[(d.class_id, d.box, d.confidence) for d in img] for img in got]) == \
+            _exact(decode_loop(outs, 1, (8,), conf_thresh=0.01, iou_thresh=0.1))
+        centres = sorted(((d.box[1] + d.box[3]) / 2, (d.box[0] + d.box[2]) / 2) for d in got[0])
+        assert centres == [(8 * i + 4, 8 * j + 4) for i in range(8) for j in range(0, 8, 2)]
+
+    def test_negative_max_det_rejected(self):
+        with pytest.raises(ValueError, match="max_det -1"):
+            decode_columns(self._empty_heads(), 4, max_det=-1)
+        outs = self._one_class_head({(0, 0): (0.0, 0.0, 0.0, 2.0)})
+        assert [len(c) for c, _, _ in decode_columns(outs, 1, (8,), max_det=0)] == [0]
 
     def test_decode_nms_duplicate_cells(self):
         outs = self._empty_heads()
@@ -255,17 +295,7 @@ class TestDecodeOracle:
            max_det=st.sampled_from([1, 7, 300]))
     def test_same_detections_as_loop(self, seed, dtype, n, nc, step, duplicate,
                                      obj_shift, conf, iou, max_det):
-        rng = np.random.default_rng(seed)
-        outs = []
-        for side in (8, 4, 2):
-            a = rng.standard_normal((n, 5 + nc, side, side)) * 3
-            a[:, 2:4] = rng.uniform(-1.0, 2.5, (n, 2, side, side))  # wide boxes overlap
-            a[:, 4] += obj_shift  # -40 leaves no candidate at all
-            if step:  # quantised logits: many exactly equal scores
-                a = np.round(a / step) * step
-            if duplicate:  # neighbouring cells repeat a cell's whole prediction
-                a[..., 1::2] = a[..., ::2]
-            outs.append(a.astype(dtype))
+        outs = _random_heads(seed, dtype, n, nc, step, duplicate, obj_shift)
         got = decode(outs, nc, conf_thresh=conf, iou_thresh=iou, max_det=max_det)
         want = decode_loop(outs, nc, conf_thresh=conf, iou_thresh=iou, max_det=max_det)
         assert all(type(d.confidence) is float and all(type(v) is float for v in d.box)
@@ -274,13 +304,72 @@ class TestDecodeOracle:
         if obj_shift < 0:
             assert got == [[] for _ in range(n)]
 
-    def test_nms_matches_greedy_loop_across_row_blocks(self, rng):
-        # more boxes than one block of IoU rows, heavy overlap, tied scores
-        xy = rng.uniform(0, 100, (700, 2))
-        boxes = np.concatenate([xy, xy + rng.uniform(5, 30, (700, 2))], axis=1)
-        scores = np.round(rng.random(700), 2)
-        want: list[int] = []
-        for i in sorted(range(700), key=lambda i: -scores[i]):
-            if all(box_iou_py(boxes[i], boxes[j]) <= 0.3 for j in want):
-                want.append(i)
-        assert nms(boxes, scores, 0.3) == want
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           n=st.integers(1, 3), nc=st.integers(1, 4),
+           step=st.sampled_from([None, 0.5]),
+           duplicate=st.booleans(),
+           conf=st.sampled_from([0.05, 0.25]),
+           iou=st.sampled_from([0.0, 0.3, 0.45]),
+           max_det=st.sampled_from([1, 7, 40, 300]),
+           budget=st.sampled_from([1, 16, 100, 400]))
+    def test_same_detections_as_loop_in_small_rounds(self, seed, dtype, n, nc, step, duplicate,
+                                                     conf, iou, max_det, budget):
+        # windows of 1 to 10 candidates: many rounds per image, kept sets
+        # carried from round to round, images stopping at max_det apart
+        outs = _random_heads(seed, dtype, n, nc, step, duplicate, 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(G, "_ROUND_ELEMENTS", budget)
+            got = decode(outs, nc, conf_thresh=conf, iou_thresh=iou, max_det=max_det)
+        want = decode_loop(outs, nc, conf_thresh=conf, iou_thresh=iou, max_det=max_det)
+        assert _exact([[(d.class_id, d.box, d.confidence) for d in img] for img in got]) == _exact(want)
+
+    @pytest.mark.parametrize("budget", [None, 1 << 10])
+    def test_same_as_greedy_loop_across_rounds(self, rng, budget, monkeypatch):
+        # 700 candidates of one class, wide boxes that overlap heavily, and
+        # tied scores, in windows of 512 or of at most 16 candidates
+        if budget is not None:
+            monkeypatch.setattr(G, "_ROUND_ELEMENTS", budget)
+        out = rng.standard_normal((1, 6, 28, 25))
+        out[:, 2:4] = rng.uniform(0.5, 1.5, (1, 2, 28, 25))
+        out[:, 4] = np.round(out[:, 4] * 2) / 2
+        out[:, 5] = 40.0
+        got = decode([out], 1, (8,), conf_thresh=0.0, iou_thresh=0.3, max_det=700)
+        want = decode_loop([out], 1, (8,), conf_thresh=0.0, iou_thresh=0.3, max_det=700)
+        assert 100 < len(want[0]) < 700
+        assert _exact([[(d.class_id, d.box, d.confidence) for d in img] for img in got]) == _exact(want)
+
+    def test_memory_of_an_untrained_head(self):
+        # every cell of an untrained-like 20-class head is a candidate at
+        # the evaluation threshold (168,000 of them); decoding stops at 300
+        # kept boxes, and its arrays stay inside the round budget
+        rng = np.random.default_rng(0)
+        outs = []
+        for side in (80, 40, 20):
+            a = rng.standard_normal((1, 25, side, side)) * 0.5
+            a[:, 4] -= 2.0
+            outs.append(a.astype(np.float32))
+        tracemalloc.start()
+        try:
+            [(conf, _, _)] = decode_columns(outs, 20, conf_thresh=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(conf) == 300
+        assert peak < 48 << 20, peak / 2**20
+
+
+def _random_heads(seed, dtype, n, nc, step, duplicate, obj_shift):
+    rng = np.random.default_rng(seed)
+    outs = []
+    for side in (8, 4, 2):
+        a = rng.standard_normal((n, 5 + nc, side, side)) * 3
+        a[:, 2:4] = rng.uniform(-1.0, 2.5, (n, 2, side, side))  # wide boxes overlap
+        a[:, 4] += obj_shift  # -40 leaves no candidate at all
+        if step:  # quantised logits: many exactly equal scores
+            a = np.round(a / step) * step
+        if duplicate:  # neighbouring cells repeat a cell's whole prediction
+            a[..., 1::2] = a[..., ::2]
+        outs.append(a.astype(dtype))
+    return outs

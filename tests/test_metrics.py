@@ -44,6 +44,18 @@ class TestIoU:
         assert got[0, 0] == 1.0
         assert got[-2, 7] == 1.0 and got[-1, 7] == 0.0 and not got[:, 8].any()
 
+    def test_leading_axis_bitwise_equals_slices(self, rng):
+        # zero boxes pad a batch: their IoU is 0, never a division by 0
+        a = np.array([[_rand_box(rng) for _ in range(6)] for _ in range(3)])
+        b = np.array([[_rand_box(rng) for _ in range(9)] for _ in range(3)])
+        a[1, 4:] = 0.0
+        b[2, :2] = a[2, :2]
+        got = pairwise_iou(a, b)
+        assert got.shape == (3, 6, 9)
+        for s in range(3):
+            assert got[s].tobytes() == pairwise_iou(a[s], b[s]).tobytes()
+        assert not got[1, 4:].any() and got[2, 0, 0] == 1.0
+
 
 def _rand_box(rng):
     x1, y1 = rng.uniform(0, 50, 2)

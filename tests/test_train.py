@@ -86,6 +86,17 @@ class TestSchedule:
         with pytest.raises(ValueError, match="seed -1 "):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("key,value", [
+        ("eval_conf", -0.1), ("eval_conf", 1.0), ("eval_conf", 2.0), ("eval_conf", float("nan")),
+        ("eval_iou", -0.1), ("eval_iou", 1.5), ("eval_iou", float("nan")),
+    ])
+    def test_eval_thresholds_validated(self, key, value):
+        with pytest.raises(ValueError, match=f"TrainConfig.{key} {value} must be in"):
+            TrainConfig(**{key: value})
+        for ok in (0.0, 0.5):
+            TrainConfig(**{key: ok})
+        TrainConfig(eval_iou=1.0)
+
     def test_config_file(self, tmp_path):
         p = tmp_path / "t.cfg"
         p.write_text("lr=0.01\nmax_epochs=5\npatience=2\n")
