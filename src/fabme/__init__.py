@@ -3,7 +3,7 @@ reverse-mode autodiff, 2-D selective-scan feature fusion, channel
 attention, a YOLO-style detection graph, a tiling pipeline, mAP@0.5
 evaluation, and a toy training loop."""
 
-from fabme.tensor import ConvSpec, Tensor, grad_check, no_grad
+from fabme.tensor import Tensor, grad_check, no_grad
 from fabme.scan import ScanParams, ss2d
 from fabme.blocks import C2F, C2FVMamba, EMCA, SPPF, VSS
 from fabme.graph import GraphSpec, build_graph, count_params, decode, variant_spec
@@ -14,7 +14,7 @@ from fabme.train import TrainConfig, gen_synth_dataset
 # would shadow the submodule attribute
 
 __all__ = [
-    "Tensor", "ConvSpec", "grad_check", "no_grad",
+    "Tensor", "grad_check", "no_grad",
     "ScanParams", "ss2d",
     "C2F", "C2FVMamba", "EMCA", "SPPF", "VSS",
     "GraphSpec", "build_graph", "count_params", "decode", "variant_spec",

@@ -18,7 +18,7 @@ import numpy as np
 
 from fabme import tensor as T
 from fabme.scan import ScanParams, ss2d
-from fabme.tensor import ConvSpec, ShapeError, Tensor
+from fabme.tensor import ShapeError, Tensor
 
 __all__ = [
     "Module", "Conv", "Bottleneck", "C2F", "SPPF",
@@ -76,15 +76,19 @@ class Conv(Module):
     keeps its bias."""
 
     def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act=True, *, rng):
-        self.spec = ConvSpec(c_in, c_out, (k, k), stride=stride, padding=k // 2, groups=groups)
+        if min(c_in, c_out) < 1 or c_in % groups or c_out % groups:
+            raise ShapeError(f"Conv: channels {c_in} -> {c_out} must be >= 1 "
+                             f"and divide by {groups} groups")
+        self.stride, self.padding, self.groups = stride, k // 2, groups
         self.weight = _kaiming_uniform(rng, (c_out, c_in // groups, k, k), (c_in // groups) * k * k)
         self.bias = None if act else Tensor(np.zeros(c_out), requires_grad=True)
         self.norm = ChannelNorm(c_out) if act else None
 
     def forward(self, x):
         if self.norm is not None:
-            return T.conv_norm_silu(x, self.spec, self.weight, self.norm.gain, self.norm.bias)
-        return T.conv2d(x, self.spec, self.weight, self.bias)
+            return T.conv_norm_silu(x, self.weight, self.norm.gain, self.norm.bias,
+                                    self.stride, self.padding, self.groups)
+        return T.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups)
 
 
 class ChannelNorm(Module):

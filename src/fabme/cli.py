@@ -210,7 +210,7 @@ def cmd_params(args) -> int:
     out = _out_dir(args)
     rows = []
     for variant in args.variant:
-        spec = variant_spec(variant, args.scale, seed=args.seed)
+        spec = variant_spec(variant, args.scale)
         rows.append((variant, count_params(build_graph(spec))))
     with open(out / "params.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="count learnable parameters per variant")
     p.add_argument("--variant", nargs="+", required=True, choices=VARIANTS)
     p.add_argument("--scale", default="s", choices=SCALES)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="fabme_out")
     p.set_defaults(fn=cmd_params)
     return ap

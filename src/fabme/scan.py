@@ -57,9 +57,6 @@ class ScanParams:
     discretized exp(dt*A) always lies in (0, 1).
     """
 
-    d_model: int
-    d_state: int
-    dt_rank: int
     a_log: Tensor      # (d_model, d_state)
     d_skip: Tensor     # (d_model,)
     w_b: Tensor        # (d_state, d_model)
@@ -80,9 +77,6 @@ class ScanParams:
         dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_model))
         dt_bias = dt + np.log(-np.expm1(-dt))  # inverse softplus
         return ScanParams(
-            d_model=d_model,
-            d_state=d_state,
-            dt_rank=dt_rank,
             a_log=Tensor(np.log(a), requires_grad=True),
             d_skip=Tensor(np.ones(d_model), requires_grad=True),
             w_b=u((d_state, d_model), bound),
@@ -93,8 +87,8 @@ class ScanParams:
         )
 
     def named_parameters(self, prefix: str = ""):
-        for name in ("a_log", "d_skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias"):
-            yield (f"{prefix}{name}", getattr(self, name))
+        for name, t in vars(self).items():
+            yield (f"{prefix}{name}", t)
 
 
 def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
@@ -158,8 +152,8 @@ def ss2d(x: Tensor, p: ScanParams) -> Tensor:
     Output shape equals input shape (n, d_model, h, w).
     """
     n, c, h, w = x.data.shape
-    if c != p.d_model:
-        raise ShapeError(f"ss2d: input channels {c} != d_model {p.d_model}")
+    if c != p.d_skip.data.shape[0]:
+        raise ShapeError(f"ss2d: input channels {c} != d_model {p.d_skip.data.shape[0]}")
     if h * w < 1:
         raise ShapeError("ss2d: empty spatial extent")
     seq = _transpose(x, (n, h * w, c))

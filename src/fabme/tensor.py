@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "ConvSpec", "ShapeError", "NonFiniteError",
+    "Tensor", "ShapeError", "NonFiniteError",
     "no_grad", "finite_checks",
     "add", "sub", "mul", "div", "neg", "exp", "sigmoid", "silu",
     "softplus", "minimum", "maximum", "tsum", "tmean", "reshape",
@@ -77,13 +77,10 @@ class Tensor:
     # another node's buffer, and a leaf's .grad belongs to the user)
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_buf")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is None:
-            if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
-                dtype = data.dtype
-            else:
-                dtype = np.float64
-        self.data = np.asarray(data, dtype=dtype, order="C")  # 0-d stays 0-d
+    def __init__(self, data, requires_grad: bool = False):
+        # float32 and float64 arrays keep their dtype, all else is float64; 0-d stays 0-d
+        keep = isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64)
+        self.data = np.asarray(data, dtype=data.dtype if keep else np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -417,36 +414,6 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
 # convolution
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Static description of a 2-D convolution."""
-
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int]
-    stride: int = 1
-    padding: int = 0
-    groups: int = 1
-
-    def __post_init__(self):
-        if min(self.in_channels, self.out_channels) < 1:
-            raise ShapeError(
-                f"ConvSpec: channels {self.in_channels} -> {self.out_channels} must be >= 1"
-            )
-        if self.in_channels % self.groups != 0:
-            raise ShapeError(
-                f"ConvSpec: in_channels {self.in_channels} not divisible by groups {self.groups}"
-            )
-        if self.out_channels % self.groups != 0:
-            raise ShapeError(
-                f"ConvSpec: out_channels {self.out_channels} not divisible by groups {self.groups}"
-            )
-        if self.padding < 0:
-            raise ShapeError(f"ConvSpec: padding {self.padding} must be >= 0")
-        if self.stride < 1:
-            raise ShapeError(f"ConvSpec: stride {self.stride} must be >= 1")
-
-
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
     """x zero-padded by p on both spatial sides (x itself when p is 0)."""
     if not p:
@@ -516,17 +483,22 @@ def _nchw(y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.transpose(0, 2, 1, 3, 4)).reshape(nb * b, c, h, w)
 
 
-def _conv_forward(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None) -> np.ndarray:
+def _conv_forward(x: Tensor, weight: Tensor, bias: Tensor | None, s: int, p: int,
+                  groups: int) -> np.ndarray:
     """conv2d's checked forward value: a fresh C-contiguous (n, out, oh, ow)
-    array that no one else holds."""
+    array that no one else holds.  The kernel size and the channel counts
+    are those of the weight, (out, in/groups, kh, kw)."""
+    wshape = weight.data.shape
+    if len(wshape) != 4 or min(wshape) < 1:
+        raise ShapeError(f"conv2d: weight shape {wshape} is not (out, in/groups, kh, kw) >= 1")
+    if groups < 1 or s < 1 or p < 0:
+        raise ShapeError(f"conv2d: groups {groups} and stride {s} must be >= 1, padding {p} >= 0")
     n, c, h, w = x.data.shape
-    kh, kw = spec.kernel
-    ic, oc, groups, s, p = spec.in_channels, spec.out_channels, spec.groups, spec.stride, spec.padding
-    if c != ic:
-        raise ShapeError(f"conv2d: input channels {c} != spec.in_channels {ic}")
-    wshape = (oc, ic // groups, kh, kw)
-    if weight.data.shape != wshape:
-        raise ShapeError(f"conv2d: weight shape {weight.data.shape} != expected {wshape}")
+    oc, icg, kh, kw = wshape
+    if c != icg * groups:
+        raise ShapeError(f"conv2d: input channels {c} != weight in/groups {icg} * groups {groups}")
+    if oc % groups:
+        raise ShapeError(f"conv2d: output channels {oc} not divisible by groups {groups}")
     if bias is not None and bias.data.shape != (oc,):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != expected ({oc},)")
     oh = (h + 2 * p - kh) // s + 1
@@ -539,14 +511,14 @@ def _conv_forward(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None
     return _nchw(out)
 
 
-def _conv_backward(g: np.ndarray, x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None):
+def _conv_backward(g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor | None, s: int, p: int,
+                   groups: int):
     """Push the conv output's gradient g to weight, bias and, when it
     requires grad, x.  Nothing of the forward is kept: the patch matrix is
     rebuilt from x.data."""
     n, c, h, w = x.data.shape
     oh, ow = g.shape[2:]
-    kh, kw = spec.kernel
-    oc, groups, s, p = spec.out_channels, spec.groups, spec.stride, spec.padding
+    oc, _, kh, kw = weight.data.shape
     w3 = weight.data.reshape(groups, oc // groups, -1)
     g2 = _cols(g, 1, 1, 1, 0, oh, ow)  # g in the blocks' column order
     nb, _, m = g2.shape
@@ -574,20 +546,21 @@ def _conv_backward(g: np.ndarray, x: Tensor, spec: ConvSpec, weight: Tensor, bia
     _acc(x, gxp[:, :, p:p + h, p:p + w])
 
 
-def conv2d(x: Tensor, spec: ConvSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Grouped 2-D cross-correlation (groups == in_channels is depthwise),
-    one patch-matrix GEMM kernel for every kernel size, stride and group
-    count."""
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
+           padding: int = 0, groups: int = 1) -> Tensor:
+    """Grouped 2-D cross-correlation of x (n, c, h, w) with weight
+    (out, c/groups, kh, kw) (groups == c is depthwise), one patch-matrix
+    GEMM kernel for every kernel size, stride and group count."""
     def backward(g):
-        _conv_backward(g, x, spec, weight, bias)
+        _conv_backward(g, x, weight, bias, stride, padding, groups)
 
-    out = _conv_forward(x, spec, weight, bias)
+    out = _conv_forward(x, weight, bias, stride, padding, groups)
     return _node(out, (x, weight) if bias is None else (x, weight, bias), backward, "conv2d")
 
 
-def conv_norm_silu(x: Tensor, spec: ConvSpec, weight: Tensor, gain: Tensor,
-                   nbias: Tensor) -> Tensor:
-    """silu(channel_norm(conv2d(x, spec, weight), gain, nbias)) as one tape
+def conv_norm_silu(x: Tensor, weight: Tensor, gain: Tensor, nbias: Tensor, stride: int = 1,
+                   padding: int = 0, groups: int = 1) -> Tensor:
+    """silu(channel_norm(conv2d(x, weight, ...), gain, nbias)) as one tape
     node, bit for bit, through the same kernels.  The conv takes no bias:
     the norm subtracts each (n, c) plane's mean, which cancels any
     per-channel constant added before it.
@@ -599,7 +572,8 @@ def conv_norm_silu(x: Tensor, spec: ConvSpec, weight: Tensor, gain: Tensor,
     in the same buffer."""
     parents = (x, weight, gain, nbias)
     taped = _grad_enabled and any(t.requires_grad for t in parents)
-    xhat, inv, spare = _normalize(_conv_forward(x, spec, weight, None), _NORM_EPS, in_place=True)
+    xhat, inv, spare = _normalize(_conv_forward(x, weight, None, stride, padding, groups),
+                                  _NORM_EPS, in_place=True)
     out = _affine(xhat, gain.data, nbias.data, out=spare if taped else xhat)
     del spare
     out *= _expit(out)
@@ -612,7 +586,7 @@ def conv_norm_silu(x: Tensor, spec: ConvSpec, weight: Tensor, gain: Tensor,
         del gz
         _acc(gain, ggain)
         _acc(nbias, gnbias)
-        _conv_backward(gy, x, spec, weight, None)
+        _conv_backward(gy, x, weight, None, stride, padding, groups)
 
     return _node(out, parents, backward, "conv_norm_silu")
 

@@ -117,13 +117,13 @@ def sgd_step(named_params, state: dict, cfg: TrainConfig, epoch_progress: float)
 
 def build_targets(batch_anns, img_size: int, strides, num_classes: int, dtype):
     """Center-cell assignment: each box goes to the scale whose stride best
-    matches its size, at the cell containing its center."""
+    matches its size, at the cell containing its center.  A scale's "mask"
+    is 1 at its assigned cells: it is also the objectness target."""
     n = len(batch_anns)
     targets = []
     for s in strides:
         g = img_size // s
         targets.append({
-            "obj": np.zeros((n, 1, g, g), dtype=dtype),
             "cls": np.zeros((n, num_classes, g, g), dtype=dtype),
             "box": np.zeros((n, 4, g, g), dtype=dtype),
             "mask": np.zeros((n, 1, g, g), dtype=dtype),
@@ -143,7 +143,6 @@ def build_targets(batch_anns, img_size: int, strides, num_classes: int, dtype):
             j = min(int(a.cx * img_size / s), g - 1)
             i = min(int(a.cy * img_size / s), g - 1)
             t = targets[si]
-            t["obj"][b, 0, i, j] = 1.0
             t["mask"][b, 0, i, j] = 1.0
             t["cls"][b, :, i, j] = 0.0
             t["cls"][b, a.class_id - 1, i, j] = 1.0
@@ -165,7 +164,7 @@ def detection_loss(outputs, targets, strides, num_classes: int, cfg: TrainConfig
         npos = float(mask.sum())
 
         obj_w = 1.0 + (OBJ_POS_WEIGHT - 1.0) * mask
-        obj_loss = T.tmean(T.mul(T.bce_with_logits(tobj, tgt["obj"]), Tensor(obj_w)))
+        obj_loss = T.tmean(T.mul(T.bce_with_logits(tobj, mask), Tensor(obj_w)))
 
         cls_map = T.bce_with_logits(tcls, tgt["cls"])
         cls_loss = T.div(T.tsum(T.mul(cls_map, Tensor(np.broadcast_to(mask, cls_map.data.shape).copy()))),

@@ -14,7 +14,7 @@ from fabme.blocks import C2FVMamba, EMCA, VSS
 from fabme.graph import build_graph, count_params, variant_spec
 from fabme.metrics import Detection, GroundTruth, map50, match_and_ap
 from fabme.scan import ScanParams, ss2d
-from fabme.tensor import ConvSpec, Tensor, grad_check
+from fabme.tensor import Tensor, grad_check
 
 from oracles import brute_force_map50, random_detection_scene
 
@@ -46,13 +46,12 @@ def test_criterion_1_gradient_correctness():
         x = Tensor(rng.standard_normal((1, 3, 5, 5)))
         w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.3)
         b = Tensor(rng.standard_normal(4) * 0.1)
-        spec = ConvSpec(3, 4, (3, 3), stride=1 + seed % 2, padding=1)
-        check(grad_check(lambda *t_: T.tsum(T.conv2d(t_[0], spec, t_[1], t_[2])), [x, w, b], tol=TOL))
+        stride = 1 + seed % 2
+        check(grad_check(lambda *t_: T.tsum(T.conv2d(*t_, stride, 1)), [x, w, b], tol=TOL))
         xd = Tensor(rng.standard_normal((1, 4, 4 + seed, 4)))
         wd = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.3)
         bd = Tensor(rng.standard_normal(4) * 0.1)
-        dspec = ConvSpec(4, 4, (3, 3), padding=1, groups=4)
-        check(grad_check(lambda *t_: T.tsum(T.conv2d(t_[0], dspec, t_[1], t_[2])), [xd, wd, bd], tol=TOL))
+        check(grad_check(lambda *t_: T.tsum(T.conv2d(*t_, padding=1, groups=4)), [xd, wd, bd], tol=TOL))
         # conv1d
         xc = Tensor(rng.standard_normal((2, 5 + seed)))
         wc = Tensor(rng.standard_normal(3) * 0.5)
@@ -98,7 +97,7 @@ def test_criterion_2_equation_fidelity():
     want = (1.0 / (1.0 + np.exp(-2.0 * means))) * means
     err = np.abs(got - want).max()
     widths_ok = all(
-        C2FVMamba(2 * h, 2 * h, n=n, rng=np.random.default_rng(n)).cv2.spec.in_channels
+        C2FVMamba(2 * h, 2 * h, n=n, rng=np.random.default_rng(n)).cv2.weight.data.shape[1]
         == (n + 3) * h
         for n in (1, 2, 3) for h in (4, 8, 16)
     )

@@ -26,10 +26,16 @@ class TestBottleneckC2FSPPF:
         x = Tensor(rng.standard_normal((1, 8, 4, 4)))
         assert np.array_equal(bn(x).data, x.data)
 
+    @pytest.mark.parametrize("c_in,c_out,groups", [(0, 4, 1), (4, 0, 1), (3, 4, 2), (4, 3, 2)])
+    def test_conv_channels_checked_when_built(self, rng, c_in, c_out, groups):
+        # the weight's shape is the conv's geometry, so it must be a valid one
+        with pytest.raises(ShapeError, match="Conv: channels"):
+            Conv(c_in, c_out, 3, groups=groups, rng=rng)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_c2f_concat_width(self, rng, n):
         c2f = C2F(16, 16, n=n, rng=rng)
-        assert c2f.cv2.spec.in_channels == (n + 2) * 8
+        assert c2f.cv2.weight.data.shape[1] == (n + 2) * 8
 
     def test_sppf_shape(self, rng):
         sppf = SPPF(64, 64, rng=rng)
@@ -84,16 +90,16 @@ class TestVSS:
 class TestC2FVMamba:
     @pytest.mark.parametrize("n,h", [(1, 4), (2, 4), (3, 4), (1, 8), (2, 8), (3, 8)])
     def test_concat_width_rule(self, rng, n, h):
-        assert C2FVMamba(2 * h, 2 * h, n=n, rng=rng).cv2.spec.in_channels == (n + 3) * h
+        assert C2FVMamba(2 * h, 2 * h, n=n, rng=rng).cv2.weight.data.shape[1] == (n + 3) * h
 
     def test_n1_example_widths(self, rng):
         # h=4: X1(4) + Conv(X)(8) + Y2(4) = 16 channels into the last conv
         m = C2FVMamba(8, 8, n=1, rng=rng)
-        assert m.cv2.spec.in_channels == 16
+        assert m.cv2.weight.data.shape[1] == 16
 
     def test_n2_example_widths(self, rng):
         m = C2FVMamba(8, 8, n=2, rng=rng)
-        assert m.cv2.spec.in_channels == 20
+        assert m.cv2.weight.data.shape[1] == 20
 
     def test_spatial_dims_preserved(self, rng):
         m = C2FVMamba(8, 12, n=2, rng=rng)

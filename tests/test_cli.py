@@ -199,6 +199,11 @@ class TestFlagValidation:
         with pytest.raises(SystemExit):
             main(["params", "--variant", "baseline", "--bogus", "1"])
 
+    def test_params_takes_no_seed(self, capsys):
+        # a parameter count does not depend on the seed
+        with pytest.raises(SystemExit):
+            main(["params", "--variant", "baseline", "--seed", "1"])
+
     def test_unknown_variant_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["params", "--variant", "resnet"])

@@ -205,6 +205,14 @@ class TestSS2D:
                 np.testing.assert_allclose(ss2d(Tensor(x), p).data, ss2d_by_direction(x, p),
                                            rtol=1e-12, atol=0, err_msg=f"{h}x{w}")
 
+    def test_params_hold_only_their_tensors(self, rng):
+        # d_model, d_state and dt_rank are shapes of the tensors, not fields
+        p = ScanParams.create(20, d_state=3, rng=rng)
+        shapes = {name: t.data.shape for name, t in p.named_parameters()}
+        assert shapes == {"a_log": (20, 3), "d_skip": (20,), "w_b": (3, 20), "w_c": (3, 20),
+                          "w_dt_down": (2, 20), "w_dt_up": (20, 2), "dt_bias": (20,)}
+        assert all(isinstance(v, Tensor) for v in vars(p).values())
+
     def test_channel_mismatch_rejected(self, rng):
         p = ScanParams.create(4, rng=rng)
         with pytest.raises(T.ShapeError, match="d_model"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fabme import blocks as B, tensor as T
-from fabme.tensor import ConvSpec, ShapeError, Tensor
+from fabme.tensor import ShapeError, Tensor
 
 from oracles import (
     channel_norm_4d, conv2d_direct, expit_masked, maxpool2d_masked, silu_masked,
@@ -32,13 +32,13 @@ class TestConv2d:
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.full((1, 1, 1, 1), 2.0))
         b = Tensor(np.zeros(1))
-        out = T.conv2d(x, ConvSpec(1, 1, (1, 1)), w, b)
+        out = T.conv2d(x, w, b)
         assert np.array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
 
     def test_sum_case(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         w = Tensor(np.ones((1, 1, 2, 2)))
-        out = T.conv2d(x, ConvSpec(1, 1, (2, 2)), w)
+        out = T.conv2d(x, w)
         assert out.data.shape == (1, 1, 1, 1)
         assert out.item() == 10.0
 
@@ -47,7 +47,7 @@ class TestConv2d:
         w = np.zeros((3, 3, 1, 1))
         for c in range(3):
             w[c, c, 0, 0] = 1.0
-        out = T.conv2d(x, ConvSpec(3, 3, (1, 1)), Tensor(w))
+        out = T.conv2d(x, Tensor(w))
         assert np.array_equal(out.data, x.data)
 
     @pytest.mark.parametrize("stride,pad,groups,cin,cout", [
@@ -57,8 +57,7 @@ class TestConv2d:
         x = rng.standard_normal((2, cin, 6, 5))
         w = rng.standard_normal((cout, cin // groups, 3, 3))
         b = rng.standard_normal(cout)
-        spec = ConvSpec(cin, cout, (3, 3), stride=stride, padding=pad, groups=groups)
-        got = T.conv2d(Tensor(x), spec, Tensor(w), Tensor(b)).data
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad, groups).data
         want = conv2d_direct(x, w, b, stride, pad, groups)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -72,8 +71,7 @@ class TestConv2d:
         x = rng.standard_normal((3, 4) + hw)
         w = rng.standard_normal((cout, 4 // groups, k, k))
         b = rng.standard_normal(cout)
-        spec = ConvSpec(4, cout, (k, k), stride=stride, padding=pad, groups=groups)
-        got = T.conv2d(Tensor(x), spec, Tensor(w), Tensor(b)).data
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad, groups).data
         want = conv2d_direct(x, w, b, stride, pad, groups)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -89,8 +87,7 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((2, 4, 5, 6)))
         w = Tensor(rng.standard_normal((cout, 4 // groups, k, k)) * 0.4)
         b = Tensor(rng.standard_normal(cout) * 0.1)
-        spec = ConvSpec(4, cout, (k, k), stride=stride, padding=pad, groups=groups)
-        rep = T.grad_check(lambda *ts: T.tsum(T.conv2d(ts[0], spec, ts[1], ts[2])),
+        rep = T.grad_check(lambda *ts: T.tsum(T.conv2d(*ts, stride, pad, groups)),
                            [x, w, b], tol=1e-5)
         assert rep.passed, str(rep)
 
@@ -100,11 +97,11 @@ class TestConv2d:
         x = rng.standard_normal((8, 4, 6, 5))
         w = rng.standard_normal((5, 4, k, k))
         g = rng.standard_normal(conv2d_direct(x[:1], w, None, stride, pad).shape[1:])
-        spec = ConvSpec(4, 5, (k, k), stride=stride, padding=pad)
         runs = []
         for cols in (1, T._GEMM_COLS, 10**9):
             monkeypatch.setattr(T, "_GEMM_COLS", cols)
-            runs.append(_run(lambda a, b: T.conv2d(a, spec, b), [x, w], np.broadcast_to(g, (8,) + g.shape)))
+            runs.append(_run(lambda a, b: T.conv2d(a, b, stride=stride, padding=pad), [x, w],
+                             np.broadcast_to(g, (8,) + g.shape)))
         for got in runs[:2]:
             for a, b in zip(got, runs[2], strict=True):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -115,12 +112,11 @@ class TestConv2d:
         # once, input gradient included
         x = rng.standard_normal((2, 4, 9, 7))
         w = rng.standard_normal((8, 4 // groups, k, k))
-        spec = ConvSpec(4, 8, (k, k), stride=stride, padding=pad, groups=groups)
-        g = rng.standard_normal(T.conv2d(Tensor(x), spec, Tensor(w)).shape)
+        g = rng.standard_normal(T.conv2d(Tensor(x), Tensor(w), None, stride, pad, groups).shape)
         runs = []
         for elems in (1, 2 * 4 * k * k * 7 * 2, 10**9):
             monkeypatch.setattr(T, "_PATCH_ELEMS", elems)
-            runs.append(_run(lambda a, b: T.conv2d(a, spec, b), [x, w], g))
+            runs.append(_run(lambda a, b: T.conv2d(a, b, None, stride, pad, groups), [x, w], g))
         for got in runs[:2]:
             for a, b in zip(got, runs[2], strict=True):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -130,19 +126,17 @@ class TestConv2d:
         x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
         w = rng.standard_normal((4, 4 // groups, k, k)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        spec = ConvSpec(4, 4, (k, k), stride=stride, padding=pad, groups=groups)
-        out = T.conv2d(Tensor(x, requires_grad=True), spec, Tensor(w, requires_grad=True),
-                       Tensor(b, requires_grad=True))
+        out = T.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                       Tensor(b, requires_grad=True), stride, pad, groups)
         assert out.dtype == np.float32
-        got = _run(lambda *ts: T.conv2d(ts[0], spec, ts[1], ts[2]), [x, w, b], np.ones_like(out.data))
+        got = _run(lambda *ts: T.conv2d(*ts, stride, pad, groups), [x, w, b], np.ones_like(out.data))
         assert [a.dtype for a in got] == [np.float32] * 4
 
     def test_depthwise_gradcheck(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 8, 8)))
         w = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.3)
         b = Tensor(rng.standard_normal(4) * 0.1)
-        spec = ConvSpec(4, 4, (3, 3), padding=1, groups=4)
-        rep = T.grad_check(lambda *ts: T.tsum(T.conv2d(ts[0], spec, ts[1], ts[2])),
+        rep = T.grad_check(lambda *ts: T.tsum(T.conv2d(*ts, padding=1, groups=4)),
                            [x, w, b], tol=1e-6)
         assert rep.passed, str(rep)
 
@@ -152,14 +146,13 @@ class TestConv2d:
         # the other gradients are the same bits, and no input gradient is built;
         # the third operand is the conv's bias or the norm's gain
         x, w, b = rng.standard_normal((2, 4, 5, 5)), rng.standard_normal((4, 4, k, k)), rng.standard_normal(4)
-        spec = ConvSpec(4, 4, (k, k), stride=stride, padding=k // 2)
         nb = Tensor(np.zeros(4))
         if op == "conv2d":
             def f(xt, wt, bt):
-                return T.conv2d(xt, spec, wt, bt)
+                return T.conv2d(xt, wt, bt, stride, k // 2)
         else:
             def f(xt, wt, bt):
-                return T.conv_norm_silu(xt, spec, wt, bt, nb)
+                return T.conv_norm_silu(xt, wt, bt, nb, stride, k // 2)
         g = rng.standard_normal(f(Tensor(x), Tensor(w), Tensor(b)).shape)
         want = _run(f, [x, w, b], g)
         xt, wt, bt = Tensor(x), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
@@ -172,35 +165,50 @@ class TestConv2d:
         assert _same_bits([out.data, wt.grad, bt.grad], [want[0], want[2], want[3]])
 
     def test_shape_mismatch_diagnostic(self, rng):
-        x = Tensor(rng.standard_normal((1, 3, 4, 4)))
-        w = Tensor(rng.standard_normal((2, 3, 3, 3)))
-        with pytest.raises(ShapeError, match="in_channels"):
-            T.conv2d(x, ConvSpec(4, 2, (3, 3)), w)
-        with pytest.raises(ShapeError, match="weight shape"):
-            T.conv2d(x, ConvSpec(3, 4, (3, 3)), w)
-        with pytest.raises(ShapeError, match="bias shape"):
-            T.conv2d(x, ConvSpec(3, 2, (3, 3)), w, Tensor(np.zeros(3)))
+        # the kernel and channel counts are the weight's (out, in/groups, kh, kw)
+        x = Tensor(rng.standard_normal((1, 4, 4, 4)))
+        w = Tensor(rng.standard_normal((2, 4, 3, 3)))
+        gain, nb = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        with pytest.raises(ShapeError, match="conv2d: weight shape"):
+            T.conv2d(x, Tensor(rng.standard_normal((2, 4, 3))))
+        with pytest.raises(ShapeError, match="conv2d: weight shape"):
+            T.conv2d(x, Tensor(np.zeros((0, 4, 3, 3))))
+        with pytest.raises(ShapeError, match="conv2d: input channels 4 != weight in/groups 2"):
+            T.conv2d(x, Tensor(rng.standard_normal((2, 2, 3, 3))))
+        with pytest.raises(ShapeError, match="conv2d: input channels 4 != weight in/groups 4 \\* groups 2"):
+            T.conv2d(x, w, groups=2)
+        with pytest.raises(ShapeError, match="conv2d: input channels"):
+            T.conv_norm_silu(x, Tensor(rng.standard_normal((2, 3, 3, 3))), gain, nb)
+        with pytest.raises(ShapeError, match="conv2d: bias shape"):
+            T.conv2d(x, w, Tensor(np.zeros(3)))
+        assert T.conv2d(x, w, Tensor(np.zeros(2))).shape == (1, 2, 2, 2)
 
-    def test_spec_invariants(self):
-        with pytest.raises(ShapeError, match="divisible"):
-            ConvSpec(3, 4, (3, 3), groups=2)
-        with pytest.raises(ShapeError, match="stride"):
-            ConvSpec(3, 3, (3, 3), stride=0)
-        with pytest.raises(ShapeError, match="padding"):
-            ConvSpec(3, 3, (3, 3), padding=-1)
+    def test_geometry_invariants(self, rng):
+        x = Tensor(rng.standard_normal((1, 4, 4, 4)))
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="conv2d: output channels 3 not divisible by groups 2"):
+            T.conv2d(x, w, groups=2)
+        w = Tensor(rng.standard_normal((4, 4, 3, 3)))
+        for kwargs, want in [({"stride": 0}, "groups 1 and stride 0"), ({"padding": -1}, "padding -1"),
+                             ({"groups": 0}, "groups 0 and stride 1")]:
+            with pytest.raises(ShapeError, match=f"conv2d: .*{want}"):
+                T.conv2d(x, w, **kwargs)
+        with pytest.raises(ShapeError, match="conv2d: groups 1 and stride 0 must be >= 1"):
+            T.conv_norm_silu(x, w, Tensor(np.ones(4)), Tensor(np.zeros(4)), stride=0)
 
 
 class TestConvNormSilu:
     """conv_norm_silu is conv2d -> channel_norm -> silu as one tape node,
     bit for bit."""
 
+    # geom is (stride, padding, groups)
     @staticmethod
-    def _chain(spec):
-        return lambda x, w, gain, nb: T.silu(T.channel_norm(T.conv2d(x, spec, w), gain, nb))
+    def _chain(geom):
+        return lambda x, w, gain, nb: T.silu(T.channel_norm(T.conv2d(x, w, None, *geom), gain, nb))
 
     @staticmethod
-    def _fused(spec):
-        return lambda x, w, gain, nb: T.conv_norm_silu(x, spec, w, gain, nb)
+    def _fused(geom):
+        return lambda x, w, gain, nb: T.conv_norm_silu(x, w, gain, nb, *geom)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([np.float32, np.float64]), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
@@ -209,18 +217,18 @@ class TestConvNormSilu:
     def test_matches_the_three_ops(self, dtype, k, s, groups, n, h, w, taped, seed):
         rng = np.random.default_rng(seed)
         c, oc = 2 * groups, 3 * groups
-        spec = ConvSpec(c, oc, (k, k), stride=s, padding=k // 2, groups=groups)
+        geom = (s, k // 2, groups)
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in
                   ((n, c, h, w), (oc, c // groups, k, k), (oc,), (oc,))]
         arrays[0] = arrays[0] * 3 + rng.standard_normal((1, c, 1, 1)).astype(dtype)
         if taped:
-            g = rng.standard_normal(T.conv2d(Tensor(arrays[0]), spec, Tensor(arrays[1])).shape)
+            g = rng.standard_normal(T.conv2d(Tensor(arrays[0]), Tensor(arrays[1]), None, *geom).shape)
             g = g.astype(dtype)
-            got, want = _run(self._fused(spec), arrays, g), _run(self._chain(spec), arrays, g)
+            got, want = _run(self._fused(geom), arrays, g), _run(self._chain(geom), arrays, g)
         else:
             ts = [Tensor(a, requires_grad=True) for a in arrays]
             with T.no_grad():
-                got, want = [self._fused(spec)(*ts)], [self._chain(spec)(*ts)]
+                got, want = [self._fused(geom)(*ts)], [self._chain(geom)(*ts)]
             assert not got[0].requires_grad and got[0]._backward is None
             got, want = [got[0].data], [want[0].data]
         assert _same_bits(got, want)
@@ -228,12 +236,12 @@ class TestConvNormSilu:
 
     @pytest.mark.parametrize("k,stride,groups", [(3, 1, 1), (3, 2, 2), (1, 1, 1), (1, 2, 2)])
     def test_gradcheck(self, rng, k, stride, groups):
-        spec = ConvSpec(4, 4, (k, k), stride=stride, padding=k // 2, groups=groups)
         x = Tensor(rng.standard_normal((2, 4, 5, 5)))
         w = Tensor(rng.standard_normal((4, 4 // groups, k, k)) * 0.5)
         gain, nb = (Tensor(rng.standard_normal(4)) for _ in range(2))
-        m = Tensor(rng.standard_normal(T.conv2d(x, spec, w).shape))
-        rep = T.grad_check(lambda *ts: T.tsum(T.mul(T.conv_norm_silu(ts[0], spec, *ts[1:]), m)),
+        geom = (stride, k // 2, groups)
+        m = Tensor(rng.standard_normal(T.conv2d(x, w, None, *geom).shape))
+        rep = T.grad_check(lambda *ts: T.tsum(T.mul(T.conv_norm_silu(*ts, *geom), m)),
                            [x, w, gain, nb], tol=1e-5)
         assert rep.passed, str(rep)
 
@@ -243,13 +251,13 @@ class TestConvNormSilu:
         # bias changes neither the output nor the other gradients, and its
         # own gradient is zero up to rounding
         rng = np.random.default_rng(seed)
-        spec = ConvSpec(4, 6, (3, 3), stride=1 + seed % 2, padding=1, groups=2)
+        geom = (1 + seed % 2, 1, 2)
         x, w, b, gain, nb = (rng.standard_normal(shape) for shape in
                              ((2, 4, 7, 6), (6, 2, 3, 3), (6,), (6,), (6,)))
-        g = rng.standard_normal(T.conv2d(Tensor(x), spec, Tensor(w)).shape)
-        chain = _run(lambda xt, wt, bt, gt, nt: T.silu(T.channel_norm(T.conv2d(xt, spec, wt, bt), gt, nt)),
+        g = rng.standard_normal(T.conv2d(Tensor(x), Tensor(w), None, *geom).shape)
+        chain = _run(lambda xt, wt, bt, gt, nt: T.silu(T.channel_norm(T.conv2d(xt, wt, bt, *geom), gt, nt)),
                      [x, w, b, gain, nb], g)
-        fused = _run(self._fused(spec), [x, w, gain, nb], g)
+        fused = _run(self._fused(geom), [x, w, gain, nb], g)
         for got, want in zip(fused, chain[:3] + chain[4:], strict=True):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(chain[3])) <= 1e-12 * np.max(np.abs(chain[2]))
@@ -569,6 +577,15 @@ class TestElementwise:
             T.tsum(op(a, b)).backward()
             assert calls == [(2, 3)]
 
+    @pytest.mark.parametrize("data,want", [
+        (np.zeros(2, np.float32), np.float32), (np.zeros(2), np.float64),
+        (np.zeros(2, np.float16), np.float64), (np.arange(3), np.float64),
+        ([1, 2], np.float64), (3, np.float64),
+    ])
+    def test_dtype_follows_the_data(self, data, want):
+        # a float32 or float64 array keeps its dtype, anything else is float64
+        assert Tensor(data).dtype == want
+
     @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.minimum, T.maximum])
     def test_scalar_operand_takes_the_tensor_dtype(self, op):
         x = Tensor(np.full((2, 2), 0.5, dtype=np.float32), requires_grad=True)
@@ -607,7 +624,7 @@ class TestDeterminism:
             x = Tensor(rng.standard_normal((2, 4, 6, 6)))
             w = Tensor(rng.standard_normal((4, 4, 3, 3)) * 0.2)
             b = Tensor(rng.standard_normal(4))
-            y = T.conv2d(x, ConvSpec(4, 4, (3, 3), padding=1), w, b)
+            y = T.conv2d(x, w, b, padding=1)
             return T.tsum(T.silu(y)).item()
         assert run() == run()
 
@@ -628,8 +645,7 @@ class TestGradCheckHarness:
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4)
         b = Tensor(rng.standard_normal(3) * 0.1)
-        spec = ConvSpec(2, 3, (3, 3), padding=1)
-        rep = T.grad_check(lambda *ts: T.tsum(T.conv2d(ts[0], spec, ts[1], ts[2])),
+        rep = T.grad_check(lambda *ts: T.tsum(T.conv2d(*ts, padding=1)),
                            [x, w, b], tol=1e-6)
         assert rep.passed and rep.max_rel_err < 1e-6
 

@@ -154,15 +154,15 @@ class TestTargets:
     def test_center_cell_assignment(self):
         anns = [D.Annotation(2, 0.5, 0.5, 10 / 64, 10 / 64)]
         tg = TR.build_targets([anns], 64, (8, 16, 32), 4, np.float64)
-        assert tg[0]["obj"].sum() == 1.0
-        assert tg[0]["obj"][0, 0, 4, 4] == 1.0
+        assert tg[0]["mask"].sum() == 1.0
+        assert tg[0]["mask"][0, 0, 4, 4] == 1.0
         assert tg[0]["cls"][0, 1, 4, 4] == 1.0
-        assert tg[1]["obj"].sum() == 0.0 and tg[2]["obj"].sum() == 0.0
+        assert tg[1]["mask"].sum() == 0.0 and tg[2]["mask"].sum() == 0.0
 
     def test_large_box_goes_to_coarser_scale(self):
         anns = [D.Annotation(1, 0.5, 0.5, 30 / 64, 30 / 64)]
         tg = TR.build_targets([anns], 64, (8, 16, 32), 4, np.float64)
-        assert tg[0]["obj"].sum() == 0.0 and tg[1]["obj"].sum() == 1.0
+        assert tg[0]["mask"].sum() == 0.0 and tg[1]["mask"].sum() == 1.0
 
 
 class TestTapeSweep:
