@@ -122,6 +122,9 @@ def run_sweep(op: str, Ls=(256, 1024, 4096), d_model: int = 32, d_state: int = 8
     point that refills the caches the other points evicted, so a host whose
     speed drifts over seconds slows all points alike, and each point's
     median drops the rounds that a burst of load hit."""
+    if min(repeats, d_model, *Ls) < 1:
+        raise ValueError(f"benchmark repeats {repeats}, d_model {d_model} and every L in "
+                         f"{list(Ls)} must be >= 1")
     if op == "ss2d":
         cases = [_ss2d_case(L, d_model, d_state, seed) for L in Ls]
     elif op == "attention":

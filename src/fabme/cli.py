@@ -72,6 +72,9 @@ def cmd_train(args) -> int:
     root = Path(args.data)
     if (root / "train").is_dir() and (root / "val").is_dir():  # a `fabme tile` output, as split
         train_s, val_s = scan_dataset(root / "train"), scan_dataset(root / "val")
+        for part, found in (("train", train_s), ("val", val_s)):
+            if not found:
+                raise ValueError(f"no images found in {root / part}")
     else:
         train_s, val_s = split_dataset(scan_dataset(root), seed=cfg.seed)
     samples = train_s + val_s

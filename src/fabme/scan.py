@@ -67,6 +67,8 @@ class ScanParams:
 
     @staticmethod
     def create(d_model: int, d_state: int = 8, *, rng: np.random.Generator) -> "ScanParams":
+        if min(d_model, d_state) < 1:
+            raise ShapeError(f"ScanParams: d_model {d_model} and d_state {d_state} must be >= 1")
         dt_rank = max(1, -(-d_model // 16))  # ceil(d_model / 16)
         bound = 1.0 / np.sqrt(d_model)
 
@@ -95,52 +97,42 @@ def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Te
                    order: np.ndarray) -> Tensor:
     """Core recurrence as a single tape node, visiting the L positions in
     `order` (a permutation of range(L)).  The state after position p is kept
-    at p, so y is in the positions' own order.
+    at p, so y is in the positions' own order.  Each time loop is one
+    in-place multiply-add; every other term is one whole-array op.
 
     x, dt: (n, L, d); A: (d, N) negative; B, C: (n, L, N); D: (d,).
     """
-    n, L, d = x.data.shape
-    N = A.data.shape[1]
+    L = x.data.shape[1]
     steps = order.tolist()
     if sorted(steps) != list(range(L)):
         raise ValueError(f"selective_scan: order is not a permutation of range({L})")
     if np.any(dt.data <= 0):
         raise ValueError("selective_scan: non-positive step size dt; softplus constraint violated")
-    dA = np.exp(dt.data[:, :, :, None] * A.data[None, None])          # (n, L, d, N)
-    dBx = (dt.data * x.data)[:, :, :, None] * B.data[:, :, None, :]   # (n, L, d, N)
-    hs = np.empty_like(dA)
-    h = np.zeros((n, d, N), dtype=x.data.dtype)
-    for t in steps:
-        h = dA[:, t] * h + dBx[:, t]
-        hs[:, t] = h
+    dtx = dt.data * x.data
+    dA = np.exp(dt.data[:, :, :, None] * A.data[None, None])  # (n, L, d, N)
+    hs = dtx[:, :, :, None] * B.data[:, :, None, :]           # dt*B*x, then the states
+    for prev, t in zip(steps, steps[1:]):
+        hs[:, t] += dA[:, t] * hs[:, prev]
     y = np.einsum("nldk,nlk->nld", hs, C.data) + D.data * x.data
 
     def backward(gy):
-        gx = gy * D.data
-        gdt = np.zeros_like(dt.data)
-        gA = np.zeros_like(A.data)
-        gB = np.zeros_like(B.data)
-        gC = np.einsum("nld,nldk->nlk", gy, hs)
-        gD = np.einsum("nld,nld->d", gy, x.data)
-        carry = np.zeros((n, d, N), dtype=gy.dtype)
-        for i in range(L - 1, -1, -1):
-            t = steps[i]
-            ghb = gy[:, t, :, None] * C.data[:, t, None, :] + carry
-            if i > 0:
-                gexp = ghb * hs[:, steps[i - 1]] * dA[:, t]
-                gdt[:, t] = np.einsum("ndk,dk->nd", gexp, A.data)
-                gA += np.einsum("ndk,nd->dk", gexp, dt.data[:, t])
-            gb_term = ghb * B.data[:, t, None, :]
-            gdt[:, t] += gb_term.sum(axis=2) * x.data[:, t]
-            gB[:, t] = np.einsum("ndk,nd->nk", ghb, dt.data[:, t] * x.data[:, t])
-            gx[:, t] += gb_term.sum(axis=2) * dt.data[:, t]
-            carry = dA[:, t] * ghb
-        _acc(x, gx)
-        _acc(dt, gdt)
-        _acc(A, gA)
+        gh = gy[:, :, :, None] * C.data[:, :, None, :]  # gy.C, then the states' gradient
+        back = steps[::-1]
+        for nxt, t in zip(back, back[1:]):
+            gh[:, t] += dA[:, nxt] * gh[:, nxt]
+        gB = np.einsum("nldk,nld->nlk", gh, dtx)
+        gbx = (gh * B.data[:, :, None, :]).sum(axis=3)   # through dt*B*x
+        before = np.roll(order, 1)[np.argsort(order)]    # the position visited before each
+        gexp = np.multiply(gh, hs[:, before], out=gh)     # through exp(dt*A), in gh's place
+        gexp *= dA
+        gexp[:, steps[0]] = 0.0                           # the first step starts from zero
+        _acc(x, gy * D.data + gbx * dt.data)
+        _acc(dt, np.einsum("nldk,dk->nld", gexp, A.data) + gbx * x.data)
+        # A's per-position terms, summed in the sweep's order for a bitwise result
+        _acc(A, sum(np.einsum("nldk,nld->ldk", gexp, dt.data)[back]))
         _acc(B, gB)
-        _acc(C, gC)
-        _acc(D, gD)
+        _acc(C, np.einsum("nld,nldk->nlk", gy, hs))
+        _acc(D, np.einsum("nld,nld->d", gy, x.data))
 
     return _node(y, (x, dt, A, B, C, D), backward, "selective_scan")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -809,7 +809,6 @@ class GradCheckReport:
     eps: float
     n_checked: int
     failed_op: str | None = None
-    per_input: list[float] = field(default_factory=list)
 
     def __str__(self):
         if self.failed_op is not None:
@@ -838,7 +837,6 @@ def grad_check(f: Callable, wrt, eps: float = 1e-5, tol: float = 1e-5) -> GradCh
                 for t in tensors
             ]
             max_err = 0.0
-            per_input = []
             n_checked = 0
             for t, a in zip(tensors, analytic):
                 flat = t.data.reshape(-1)
@@ -857,8 +855,7 @@ def grad_check(f: Callable, wrt, eps: float = 1e-5, tol: float = 1e-5) -> GradCh
                     err = abs(ana - num) / max(abs(ana), abs(num), 1.0)
                     worst = max(worst, err)
                     n_checked += 1
-                per_input.append(worst)
                 max_err = max(max_err, worst)
     except NonFiniteError as e:
         return GradCheckReport(False, float("inf"), tol, eps, 0, failed_op=e.op)
-    return GradCheckReport(max_err <= tol, max_err, tol, eps, n_checked, per_input=per_input)
+    return GradCheckReport(max_err <= tol, max_err, tol, eps, n_checked)

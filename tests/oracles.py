@@ -3,8 +3,9 @@ detection evaluator (no shared code with fabme.metrics), a direct
 triple-loop convolution, the masked-scatter sigmoid, the masked forms of
 SiLU, channel normalisation and max pooling (forward value and input
 gradient), the per-candidate decode with its Python greedy NMS, the backward sweep
-that keeps the whole tape until it ends, and ss2d composed of four
-independent per-direction scans."""
+that keeps the whole tape until it ends, the selective scan's gradients by
+a per-step reverse sweep, and ss2d composed of four independent
+per-direction scans."""
 from __future__ import annotations
 
 import numpy as np
@@ -282,3 +283,39 @@ def ss2d_by_direction(x, p):
             y[:, t] = np.einsum("ndk,nk->nd", state, C[:, t]) + p.d_skip.data * seq[:, t]
         total[:, order] += y
     return total.transpose(0, 2, 1).reshape(n, c, h, w)
+
+
+def selective_scan_grads(x, dt, A, B, C, D, order, gy):
+    """The six gradients (x, dt, A, B, C, D) of selective_scan's output
+    against an upstream gy, all plain arrays: the forward state by state,
+    then one reverse sweep that carries dA_t * (gy_t.C_t + carry) and adds
+    every gradient's terms one position at a time."""
+    n, L, d = x.shape
+    steps = list(order)
+    dA = np.exp(dt[:, :, :, None] * A[None, None])
+    dBx = (dt * x)[:, :, :, None] * B[:, :, None, :]
+    hs = np.empty_like(dA)
+    h = np.zeros((n, d, A.shape[1]), dtype=x.dtype)
+    for t in steps:
+        h = dA[:, t] * h + dBx[:, t]
+        hs[:, t] = h
+    gx = gy * D
+    gdt = np.zeros_like(dt)
+    gA = np.zeros_like(A)
+    gB = np.zeros_like(B)
+    gC = np.einsum("nld,nldk->nlk", gy, hs)
+    gD = np.einsum("nld,nld->d", gy, x)
+    carry = np.zeros_like(h)
+    for i in range(L - 1, -1, -1):
+        t = steps[i]
+        ghb = gy[:, t, :, None] * C[:, t, None, :] + carry
+        if i > 0:
+            gexp = ghb * hs[:, steps[i - 1]] * dA[:, t]
+            gdt[:, t] = np.einsum("ndk,dk->nd", gexp, A)
+            gA += np.einsum("ndk,nd->dk", gexp, dt[:, t])
+        gb_term = ghb * B[:, t, None, :]
+        gdt[:, t] += gb_term.sum(axis=2) * x[:, t]
+        gB[:, t] = np.einsum("ndk,nd->nk", ghb, dt[:, t] * x[:, t])
+        gx[:, t] += gb_term.sum(axis=2) * dt[:, t]
+        carry = dA[:, t] * ghb
+    return gx, gdt, gA, gB, gC, gD

@@ -150,6 +150,19 @@ class TestTrainEvalCmds:
         empty.mkdir()
         assert main(["train", "--data", str(empty), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("empty_part", ["train", "val"])
+    def test_train_on_split_with_an_empty_side_exit_1(self, empty_part, tmp_path, capsys):
+        # `fabme tile` leaves train/images empty when no train-side source has an annotated tile
+        root = tmp_path / "tiles"
+        full = "val" if empty_part == "train" else "train"
+        assert main(["synth", "--n", "3", "--classes", "2", "--seed", "3", "--size", "32",
+                     "--out", str(root / full)]) == 0
+        (root / empty_part / "images").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["train", "--scale", "nano-test", "--data", str(root),
+                     "--out", str(tmp_path / "o"), "--epochs", "1"]) == 1
+        assert f"error: no images found in {root / empty_part}" in capsys.readouterr().err
+
     def test_train_on_tile_output_as_split(self, tmp_path, monkeypatch):
         from fabme import train as TR
         src = tmp_path / "src"
@@ -207,3 +220,11 @@ class TestFlagValidation:
     def test_unknown_variant_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["params", "--variant", "resnet"])
+
+    @pytest.mark.parametrize("flags", [["--repeats", "0"], ["--sweep", "16,0"], ["--sweep", "-4"],
+                                       ["--d-model", "0"], ["--d-state", "0"],
+                                       ["--op", "attention", "--d-model", "0"]])
+    def test_bench_rejects_counts_below_one(self, flags, tmp_path, capsys):
+        assert main(["bench", "--sweep", "16", "--repeats", "1", *flags,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "error:" in capsys.readouterr().err

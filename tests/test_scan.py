@@ -6,7 +6,7 @@ import pytest
 from fabme import tensor as T
 from fabme.scan import DIRECTIONS, ScanParams, _transpose, direction_perm, selective_scan, ss2d
 from fabme.tensor import Tensor
-from oracles import ss2d_by_direction
+from oracles import selective_scan_grads, ss2d_by_direction
 
 
 def _tokens(x: Tensor) -> Tensor:
@@ -140,6 +140,29 @@ class TestSelectiveScan:
                            list(inputs))
         assert rep.passed, str(rep)
 
+    def test_length_one_gradcheck(self):
+        inputs = _scan_inputs(np.random.default_rng(7), 2, 1, 3, 2)
+        rep = T.grad_check(lambda *ts: T.tsum(T.silu(selective_scan(*ts, np.arange(1)))),
+                           list(inputs))
+        assert rep.passed, str(rep)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 3), (2, 3), (4, 4)])
+    def test_gradients_equal_per_step_oracle(self, hw, n, dtype):
+        # bitwise: the whole-array terms add up in the per-step sweep's order
+        rng = np.random.default_rng(hw[0] * 8 + hw[1] + 100 * n)
+        for direction in DIRECTIONS:
+            order = direction_perm(*hw, direction)
+            arrays = [t.data.astype(dtype) for t in _scan_inputs(rng, n, len(order), 5, 4)]
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            y = selective_scan(*inputs, order)
+            gy = rng.standard_normal(y.data.shape).astype(dtype)
+            y.backward(gy)
+            want = selective_scan_grads(*arrays, order, gy)
+            for name, t, w in zip("x dt A B C D".split(), inputs, want):
+                assert t.grad.dtype == dtype and np.array_equal(t.grad, w), (direction, name)
+
     @pytest.mark.parametrize("direction", ["rl", "tb", "bt"])
     def test_ordered_scan_gradcheck(self, direction):
         # a 2x3 map: every direction's order differs from the identity
@@ -212,6 +235,11 @@ class TestSS2D:
         assert shapes == {"a_log": (20, 3), "d_skip": (20,), "w_b": (3, 20), "w_c": (3, 20),
                           "w_dt_down": (2, 20), "w_dt_up": (20, 2), "dt_bias": (20,)}
         assert all(isinstance(v, Tensor) for v in vars(p).values())
+
+    @pytest.mark.parametrize("d_model, d_state", [(0, 8), (4, 0), (-1, 2)])
+    def test_empty_params_rejected(self, d_model, d_state, rng):
+        with pytest.raises(T.ShapeError, match="must be >= 1"):
+            ScanParams.create(d_model, d_state=d_state, rng=rng)
 
     def test_channel_mismatch_rejected(self, rng):
         p = ScanParams.create(4, rng=rng)
