@@ -6,11 +6,15 @@ Timings are forward-only at float32; results are CSV rows
 in interleaved rounds, and growth ratios compare the points' medians.  An
 ss2d row also records two memory witnesses taken outside the timed rounds:
 the bytes of its scan states, and the tracemalloc peak of one call.
+`numeric_environment` records what decides the bits of a result on a host.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import math
+import os
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -22,7 +26,9 @@ from fabme import tensor as T
 from fabme.scan import ScanParams, ss2d
 from fabme.tensor import Tensor
 
-__all__ = ["BenchRow", "run_sweep", "write_bench_csv", "growth_ratios"]
+__all__ = ["BenchRow", "run_sweep", "write_bench_csv", "growth_ratios", "numeric_environment"]
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -153,3 +159,33 @@ def write_bench_csv(path, rows: list[BenchRow]):
         w.writerow(["operator", "L", "d_model", "d_state", "mean_ns", "p95_ns"])
         for r in rows:
             w.writerow([r.operator, r.L, r.d_model, r.d_state, int(r.mean_ns), int(r.p95_ns)])
+
+
+def _openblas_core() -> str | None:
+    """The kernel family that numpy's bundled OpenBLAS picked for this CPU,
+    or None where that library or its symbol is absent."""
+    libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "libscipy_openblas64_*.so")
+    for lib in glob.glob(libs):
+        fn = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
+def numeric_environment() -> dict:
+    """What decides the bits of a result on this host: numpy's version, the
+    OpenBLAS kernel family, numpy's dispatch target for float64 exp, the
+    SIMD extensions numpy found and the BLAS thread variables.  Two hosts
+    give bitwise equal results only where these agree."""
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
+    exp = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")["exp"]
+    return {
+        "numpy": np.__version__,
+        "openblas_core": _openblas_core(),
+        "exp_float64": next(iter(exp.values()))["current"],
+        "simd": {"baseline": list(__cpu_baseline__),
+                 "found": [f for f in __cpu_dispatch__ if __cpu_features__[f]]},
+        "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+    }

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -57,6 +58,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from fabme.bench import numeric_environment
     from fabme.blocks import save_checkpoint
     from fabme.data import scan_dataset, split_dataset
     from fabme.graph import build_graph, variant_spec
@@ -82,10 +84,12 @@ def cmd_train(args) -> int:
         print(f"error: no images found in {args.data}", file=sys.stderr)
         return 1
     train_items, val_items = load_items(train_s), load_items(val_s)
-    num_classes = args.classes or max(
+    num_classes = args.classes if args.classes is not None else max(
         (a.class_id for s in samples for a in s.annotations), default=20)
     size = train_items[0][0].shape[-1]
 
+    # the bits of the history depend on these, so they are kept beside it
+    (out / "environment.json").write_text(json.dumps(numeric_environment(), indent=1) + "\n")
     variants = [args.variant]
     if args.ablation:
         variants = ["baseline", "emca-only", "fabme"]

@@ -159,6 +159,8 @@ def plan_tiles(img_w: int, img_h: int, tile: int = TILE_SIZE) -> list[tuple[int,
     tiles shift inward when the image exceeds the tile in that axis."""
     if img_w < 1 or img_h < 1:
         raise ValueError(f"image dims {img_w}x{img_h} must be >= 1")
+    if tile < 1:
+        raise ValueError(f"tile size {tile} must be >= 1")
     nx = max(1, math.ceil(img_w / tile))
     ny = max(1, math.ceil(img_h / tile))
     xs = [min(i * tile, max(img_w - tile, 0)) for i in range(nx)]

@@ -184,9 +184,9 @@ class FabMEModel(Module):
             raise ShapeError(f"forward: input channels {c} != {IN_CHANNELS}")
         if h % 32 or w % 32:
             raise ShapeError(f"forward: input resolution {h}x{w} must be divisible by 32")
-        y = self.stem(x)
-        y = self.stage1(self.down1(y))
-        c2 = self.stage2(self.down2(y))        # stride 8
+        # each backbone map up to c2 is held only as its one reader's
+        # argument, so an untaped forward drops it once that reader returns
+        c2 = self.stage2(self.down2(self.stage1(self.down1(self.stem(x)))))  # stride 8
         c3 = self.stage3(self.down3(c2))       # stride 16
         c4 = self.sppf(self.stage4(self.down4(c3)))  # stride 32
         if self.emca is not None:

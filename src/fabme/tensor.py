@@ -414,13 +414,16 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
 # convolution
 
 
-def _pad(x: np.ndarray, p: int) -> np.ndarray:
-    """x zero-padded by p on both spatial sides (x itself when p is 0)."""
-    if not p:
-        return x
+def _pad(x: np.ndarray, p: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo .. hi-1 (all by default) of x zero-padded by p on both
+    spatial sides, counted in padded rows (a view of x when p is 0)."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    xp[:, :, p:p + h, p:p + w] = x
+    hi = h + 2 * p if hi is None else hi
+    if not p:
+        return x[:, :, lo:hi]
+    xp = np.zeros((n, c, hi - lo, w + 2 * p), dtype=x.dtype)
+    a, b = max(lo, p), min(hi, p + h)  # the padded rows that hold rows of x
+    xp[:, :, a - lo:b - lo, p:p + w] = x[:, :, a - p:b - p]
     return xp
 
 
@@ -454,6 +457,12 @@ def _cols(x: np.ndarray, kh: int, kw: int, s: int, p: int, oh: int, ow: int,
 # that large it keeps up to twice as much freed memory in its heap.
 _PATCH_ELEMS = 1 << 20
 
+# conv_norm_silu's norm-SiLU epilogue runs over blocks of whole (n, c)
+# planes of at most this many elements (one plane when a plane is larger).
+# The largest map of a nano-test batch of 16 at 64 px, 16x8x32x32, is
+# exactly one block; a 640 px stem output is 32 blocks of one plane.
+_EPILOGUE_ELEMS = 1 << 17
+
 
 def _correlate(x: np.ndarray, w3: np.ndarray, kh: int, kw: int, s: int, p: int,
                oh: int, ow: int) -> np.ndarray:
@@ -468,11 +477,11 @@ def _correlate(x: np.ndarray, w3: np.ndarray, kh: int, kw: int, s: int, p: int,
         nb, _, m = cols.shape
         return np.matmul(w3, cols.reshape(nb, groups, -1, m)).reshape(nb, groups * opg, -1, oh, ow)
     rows = max(rows, 1)
-    xp = _pad(x, p)
     out = np.empty((n, groups, opg, oh * ow), dtype=np.result_type(x, w3))
     for r in range(0, oh, rows):
         r1 = min(oh, r + rows)
-        band = _cols(xp[:, :, r * s:(r1 - 1) * s + kh], kh, kw, s, 0, r1 - r, ow, merge=False)
+        # only the band's own input rows are padded, not the whole input
+        band = _cols(_pad(x, p, r * s, (r1 - 1) * s + kh), kh, kw, s, 0, r1 - r, ow, merge=False)
         np.matmul(w3, band.reshape(n, groups, -1, band.shape[2]), out=out[..., r * ow:r1 * ow])
     return out.reshape(n, groups * opg, 1, oh, ow)
 
@@ -569,14 +578,24 @@ def conv_norm_silu(x: Tensor, weight: Tensor, gain: Tensor, nbias: Tensor, strid
     xhat and inv: backward recomputes the norm output gain*xhat + nbias and
     its sigmoid, the recompute trick of in-place activated batch norm (Rota
     Bulò et al., arXiv 1712.02616).  Untaped, the affine and the SiLU run
-    in the same buffer."""
+    in the same buffer.  The norm, affine and SiLU run over blocks of
+    whole (n, c) planes (see _EPILOGUE_ELEMS), so their temporaries are
+    block-sized."""
     parents = (x, weight, gain, nbias)
     taped = _grad_enabled and any(t.requires_grad for t in parents)
-    xhat, inv, spare = _normalize(_conv_forward(x, weight, None, stride, padding, groups),
-                                  _NORM_EPS, in_place=True)
-    out = _affine(xhat, gain.data, nbias.data, out=spare if taped else xhat)
-    del spare
-    out *= _expit(out)
+    xhat = _conv_forward(x, weight, None, stride, padding, groups)
+    n, c, h, w = xhat.shape
+    out = np.empty_like(xhat) if taped else xhat
+    inv = np.empty((n, c, 1, 1), dtype=xhat.dtype)
+    # a block is some whole images when one fits, else some planes of one
+    planes = max(1, _EPILOGUE_ELEMS // (h * w))
+    imgs, chans = max(1, planes // c), min(c, planes)
+    for i in range(0, n, imgs):
+        for j in range(0, c, chans):
+            blk = np.s_[i:i + imgs, j:j + chans]
+            xb, inv[blk] = _normalize(xhat[blk], _NORM_EPS, in_place=True)[:2]
+            z = _affine(xb, gain.data[j:j + chans], nbias.data[j:j + chans], out=out[blk])
+            z *= _expit(z)
 
     def backward(g):
         z = _affine(xhat, gain.data, nbias.data)

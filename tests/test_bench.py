@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from fabme.bench import BenchRow, growth_ratios, run_sweep, write_bench_csv
+from fabme.bench import BenchRow, growth_ratios, numeric_environment, run_sweep, write_bench_csv
 
 
 class TestHarness:
@@ -42,3 +42,16 @@ class TestHarness:
             got = list(csv.reader(f))
         assert got[0] == ["operator", "L", "d_model", "d_state", "mean_ns", "p95_ns"]
         assert len(got) == 3 and got[1][0] == "ss2d"
+
+
+class TestNumericEnvironment:
+    def test_records_what_decides_the_bits(self, monkeypatch):
+        import numpy as np
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        env = numeric_environment()
+        assert env["numpy"] == np.__version__
+        assert env["openblas_core"] is None or env["openblas_core"]
+        assert isinstance(env["exp_float64"], str) and isinstance(env["simd"]["found"], list)
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["blas_threads"]["OMP_NUM_THREADS"] is None

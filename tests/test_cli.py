@@ -1,6 +1,7 @@
 """CLI surface: every command end-to-end at miniature scale, flag
 validation, exit codes, and result files."""
 import csv
+import json
 import os
 
 import numpy as np
@@ -52,6 +53,14 @@ class TestTile:
         assert main(["tile", "--in", str(empty), "--out", str(tmp_path / "o")]) == 1
         assert "no images found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_size_below_one_exit_1(self, synth_dir, tmp_path, capsys, size):
+        out = tmp_path / "tiles"
+        capsys.readouterr()
+        assert main(["tile", "--in", str(synth_dir), "--out", str(out), "--size", size]) == 1
+        assert f"error: tile size {size} must be >= 1" in capsys.readouterr().err
+        assert not list(out.glob("*/images/*"))
+
 
 class TestParams:
     def test_fabme_not_heavier_than_baseline(self, tmp_path, capsys):
@@ -97,6 +106,9 @@ class TestTrainEvalCmds:
         assert (out / "baseline.fabck").exists()
         assert (out / "baseline.fabck.spec").exists()
         assert (out / "history_baseline.csv").read_text().splitlines()[0].endswith(",train_s,eval_s")
+        env = json.loads((out / "environment.json").read_text())
+        assert env["numpy"] == np.__version__
+        assert set(env) == {"numpy", "openblas_core", "exp_float64", "simd", "blas_threads"}
         capsys.readouterr()
         code = main(["eval", "--model", str(out / "baseline.fabck"),
                      "--data", str(synth_dir), "--out", str(out)])
@@ -144,6 +156,12 @@ class TestTrainEvalCmds:
                      "--data", str(synth_dir), "--out", str(out)])
         printed = capsys.readouterr().out
         assert code == 0 and "mAP@0.5 = 100.00%" in printed
+
+    def test_train_zero_classes_exit_1(self, synth_dir, tmp_path, capsys):
+        # 0 is a value, not "take the class count from the labels"
+        assert main(["train", "--scale", "nano-test", "--data", str(synth_dir),
+                     "--out", str(tmp_path / "o"), "--epochs", "1", "--classes", "0"]) == 1
+        assert "error: num_classes 0" in capsys.readouterr().err
 
     def test_train_missing_data_exit_1(self, tmp_path, capsys):
         empty = tmp_path / "none"

@@ -118,6 +118,23 @@ class TestForward:
         with pytest.raises(T.NonFiniteError, match="heads.0"):
             model(Tensor(rng.random((1, 3, 64, 64))))
 
+    def test_memory_of_an_s640_forward(self, rng):
+        # an untaped forward holds only the maps some later layer reads and
+        # block-sized temporaries: 37.9 MB traced, where whole-map epilogue
+        # buffers, a padded copy of a banded conv's input and the stem
+        # output kept through stage 1 held 59.0 MB
+        model = build_graph(variant_spec("fabme", "s", num_classes=20, dtype="float32"))
+        x = Tensor(rng.random((1, 3, 640, 640)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                outs = model(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outs[0].data.shape == (1, 25, 80, 80)
+        assert peak <= 45e6, peak / 1e6
+
 
 class TestParamCounts:
     def test_tiny_conv_counting(self, rng):

@@ -210,29 +210,52 @@ class TestConvNormSilu:
     def _fused(geom):
         return lambda x, w, gain, nb: T.conv_norm_silu(x, w, gain, nb, *geom)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(st.sampled_from([np.float32, np.float64]), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
            st.sampled_from([1, 2]), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
-           st.booleans(), st.integers(0, 2**32 - 1))
-    def test_matches_the_three_ops(self, dtype, k, s, groups, n, h, w, taped, seed):
+           st.booleans(), st.sampled_from([1, 7, 50, 10**9]), st.integers(0, 2**32 - 1))
+    def test_matches_the_three_ops(self, dtype, k, s, groups, n, h, w, taped, elems, seed):
+        # an epilogue block of 1 element holds one plane, of 7 or 50 one or
+        # several, so most small cases span several blocks
         rng = np.random.default_rng(seed)
         c, oc = 2 * groups, 3 * groups
         geom = (s, k // 2, groups)
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in
                   ((n, c, h, w), (oc, c // groups, k, k), (oc,), (oc,))]
         arrays[0] = arrays[0] * 3 + rng.standard_normal((1, c, 1, 1)).astype(dtype)
-        if taped:
-            g = rng.standard_normal(T.conv2d(Tensor(arrays[0]), Tensor(arrays[1]), None, *geom).shape)
-            g = g.astype(dtype)
-            got, want = _run(self._fused(geom), arrays, g), _run(self._chain(geom), arrays, g)
-        else:
-            ts = [Tensor(a, requires_grad=True) for a in arrays]
-            with T.no_grad():
-                got, want = [self._fused(geom)(*ts)], [self._chain(geom)(*ts)]
-            assert not got[0].requires_grad and got[0]._backward is None
-            got, want = [got[0].data], [want[0].data]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_EPILOGUE_ELEMS", elems)
+            if taped:
+                g = rng.standard_normal(T.conv2d(Tensor(arrays[0]), Tensor(arrays[1]), None, *geom).shape)
+                g = g.astype(dtype)
+                got, want = _run(self._fused(geom), arrays, g), _run(self._chain(geom), arrays, g)
+            else:
+                ts = [Tensor(a, requires_grad=True) for a in arrays]
+                with T.no_grad():
+                    got, want = [self._fused(geom)(*ts)], [self._chain(geom)(*ts)]
+                assert not got[0].requires_grad and got[0]._backward is None
+                got, want = [got[0].data], [want[0].data]
         assert _same_bits(got, want)
         assert got[0].flags.c_contiguous
+
+    def test_untaped_epilogue_holds_only_blocks(self, rng):
+        # the output is 8 MB, eight blocks of 2^17 float64 elements; the
+        # norm's square and the sigmoid's two buffers are each one block,
+        # where whole maps would add 24 MB to the output
+        import tracemalloc
+        x = Tensor(rng.standard_normal((1, 16, 128, 128)))
+        w = Tensor(rng.standard_normal((64, 16, 1, 1)))
+        gain, nb = Tensor(rng.standard_normal(64)), Tensor(rng.standard_normal(64))
+        block = T._EPILOGUE_ELEMS * 8
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.conv_norm_silu(x, w, gain, nb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == 8 * block
+        assert peak < x.data.nbytes + out.data.nbytes + 4 * block, peak / 2**20
 
     @pytest.mark.parametrize("k,stride,groups", [(3, 1, 1), (3, 2, 2), (1, 1, 1), (1, 2, 2)])
     def test_gradcheck(self, rng, k, stride, groups):
