@@ -334,6 +334,6 @@ def load_into(model: Module, path):
         arr = state.pop(name)
         if arr.shape != t.data.shape:
             raise ShapeError(f"checkpoint parameter {name!r} shape {arr.shape} != model {t.data.shape}")
-        t.data = arr.astype(t.data.dtype)
+        t.data[...] = arr  # in place: a parameter keeps its array, and so its pages
     if state:
         raise KeyError(f"checkpoint has unexpected parameters: {sorted(state)[:5]}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -67,10 +68,9 @@ def cmd_train(args) -> int:
 
     out = _out_dir(args)
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    if args.epochs is not None:
-        cfg.max_epochs = args.epochs
-    if args.stop_map is not None:
-        cfg.stop_map = args.stop_map
+    # replace() reruns TrainConfig's checks, so they see the overrides
+    overrides = {"max_epochs": args.epochs, "stop_map": args.stop_map}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     root = Path(args.data)
     if (root / "train").is_dir() and (root / "val").is_dir():  # a `fabme tile` output, as split
         train_s, val_s = scan_dataset(root / "train"), scan_dataset(root / "val")

@@ -9,6 +9,7 @@ over distinct inputs are safe.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from math import isqrt
 
@@ -143,13 +144,12 @@ class FabMEModel(Module):
         nn = spec.neck_depth()
         seed = spec.seed
 
-        # blocks build float64, and each is cast as it is built, so that at
+        # blocks build float64, and each is paged as it is built, so that at
         # most one block's float64 parameters are held at once; a float64
         # draw cast to float32 is the same float32 as a draw made in float32
         def block(cls, path, *a, **kw):
             b = cls(*a, rng=block_rng(seed, path), **kw)
-            for p in b.parameters():
-                p.data = p.data.astype(spec.np_dtype(), copy=False)
+            _page_parameters(b.parameters(), spec.np_dtype())
             return b
 
         self.stem = block(Conv, "stem", IN_CHANNELS, w0, 3, 2)
@@ -207,6 +207,21 @@ class FabMEModel(Module):
         with T.no_grad():
             outs = self.forward(x)
         return decode(outs, self.spec.num_classes, self.strides, conf_thresh, iou_thresh, max_det)
+
+
+def _page_parameters(params: list[Tensor], dtype):
+    """Copy-cast params into one buffer in an anonymous mapping of its own
+    and rebind each one's data to its view of it.  Weights then never share
+    malloc's heap with activations, and a dropped model's pages go back to
+    the OS; the pages are faulted in once, where MAP_POPULATE exists."""
+    ends = np.cumsum([p.data.size for p in params])
+    pages = mmap.mmap(-1, int(ends[-1]) * np.dtype(dtype).itemsize,
+                      flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0))
+    buf = np.frombuffer(pages, dtype=dtype)
+    for p, hi in zip(params, ends):
+        view = buf[hi - p.data.size:hi].reshape(p.data.shape)
+        view[...] = p.data
+        p.data = view
 
 
 def build_graph(spec: GraphSpec) -> FabMEModel:

@@ -98,7 +98,9 @@ def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Te
     """Core recurrence as a single tape node, visiting the L positions in
     `order` (a permutation of range(L)).  The state after position p is kept
     at p, so y is in the positions' own order.  Each time loop is one
-    in-place multiply-add; every other term is one whole-array op.
+    in-place multiply-add; every other term is one whole-array op.  The
+    node keeps no (n, L, d, N) array: backward recomputes exp(dt*A) and the
+    states with the forward's own ops, so bit for bit.
 
     x, dt: (n, L, d); A: (d, N) negative; B, C: (n, L, N); D: (d,).
     """
@@ -108,14 +110,20 @@ def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Te
         raise ValueError(f"selective_scan: order is not a permutation of range({L})")
     if np.any(dt.data <= 0):
         raise ValueError("selective_scan: non-positive step size dt; softplus constraint violated")
-    dtx = dt.data * x.data
-    dA = np.exp(dt.data[:, :, :, None] * A.data[None, None])  # (n, L, d, N)
-    hs = dtx[:, :, :, None] * B.data[:, :, None, :]           # dt*B*x, then the states
-    for prev, t in zip(steps, steps[1:]):
-        hs[:, t] += dA[:, t] * hs[:, prev]
+
+    def states():
+        dtx = dt.data * x.data
+        dA = np.exp(dt.data[:, :, :, None] * A.data[None, None])  # (n, L, d, N)
+        hs = dtx[:, :, :, None] * B.data[:, :, None, :]           # dt*B*x, then the states
+        for prev, t in zip(steps, steps[1:]):
+            hs[:, t] += dA[:, t] * hs[:, prev]
+        return dtx, dA, hs
+
+    _, _, hs = states()
     y = np.einsum("nldk,nlk->nld", hs, C.data) + D.data * x.data
 
     def backward(gy):
+        dtx, dA, hs = states()
         gh = gy[:, :, :, None] * C.data[:, :, None, :]  # gy.C, then the states' gradient
         back = steps[::-1]
         for nxt, t in zip(back, back[1:]):

@@ -3,7 +3,8 @@
 Values are numpy arrays (float64 by default, float32 opt-in for speed);
 each operation records a closure that pushes gradients back to its
 inputs.  Graphs are static per forward pass and single-threaded; tensors
-are never mutated once produced, so read-only sharing is safe.
+are never mutated once produced (an optimizer step updates parameters in
+place, between passes), so read-only sharing is safe.
 
 `Tensor.backward` frees the graph as it goes: once a non-leaf node has
 pushed its gradient to its parents, its `.grad`, closure and parent links
@@ -368,7 +369,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
 
 
 def split(a: Tensor, sizes: Sequence[int], axis: int = 1) -> list[Tensor]:
-    """Partition along `axis`; concat(split(x)) reconstructs x bit-exactly."""
+    """Partition along `axis` into views of a's data; concat(split(x))
+    reconstructs x bit-exactly."""
     if sum(sizes) != a.data.shape[axis]:
         raise ShapeError(
             f"split: sizes {list(sizes)} do not sum to axis {axis} extent {a.data.shape[axis]}"
@@ -379,7 +381,7 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 1) -> list[Tensor]:
         hi = lo + s
         idx = [slice(None)] * a.data.ndim
         idx[axis] = slice(lo, hi)
-        piece = a.data[tuple(idx)].copy()
+        piece = a.data[tuple(idx)]
 
         def backward(g, lo=lo, hi=hi):
             buf = np.zeros_like(a.data)
@@ -690,15 +692,19 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, padding: int = 0) -> Tens
     ow = (w + 2 * p - k) // s + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"maxpool2d: output spatial dims ({oh}, {ow}) must be >= 1")
-    if p:
-        xp = np.full((n, c, h + 2 * p, w + 2 * p), -np.inf, dtype=x.data.dtype)
+
+    def padded(fill):
+        if not p:
+            return x.data
+        xp = np.full((n, c, h + 2 * p, w + 2 * p), fill, dtype=x.data.dtype)
         xp[:, :, p:p + h, p:p + w] = x.data
-    else:
-        xp = x.data
+        return xp
+
     # the offsets whose strided slice reads only padding cannot change a
     # maximum (16 of 25 for a 5x5 pool over a 2x2 map), so they are skipped
     offsets = [(u, v) for u in range(k) if _reads_input(u, s, p, h, oh)
                for v in range(k) if _reads_input(v, s, p, w, ow)]
+    xp = padded(-np.inf)
     windows = [xp[:, :, u:u + s * oh:s, v:v + s * ow:s] for u, v in offsets]
     out = windows[0].copy() if windows else np.full((n, c, oh, ow), -np.inf, dtype=xp.dtype)
     for win in windows[1:]:
@@ -707,9 +713,9 @@ def maxpool2d(x: Tensor, kernel: int, stride: int = 1, padding: int = 0) -> Tens
         np.maximum(win, out, out=out)
 
     def backward(g):
-        if p:  # a NaN equals no output, so the padding matches none
-            xp[:, :, :p] = xp[:, :, p + h:] = np.nan
-            xp[:, :, :, :p] = xp[:, :, :, p + w:] = np.nan
+        # the node keeps no padded copy; this one's NaN padding equals no
+        # output, so the padding matches none
+        xp = padded(np.nan)
         gxp = np.zeros_like(xp)
         free = np.ones(out.shape, dtype=bool)  # outputs whose gradient is not yet routed
         for u, v in offsets:

@@ -8,7 +8,8 @@ class BCE and IoU-based box regression on center-assigned cells.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from time import perf_counter
 
 import numpy as np
@@ -55,6 +56,12 @@ class TrainConfig:
             raise ValueError(f"TrainConfig.eval_conf {self.eval_conf} must be in [0, 1)")
         if not 0.0 <= self.eval_iou <= 1.0:
             raise ValueError(f"TrainConfig.eval_iou {self.eval_iou} must be in [0, 1]")
+        if self.stop_map is not None and self.stop_map > 1.0:  # mAP is at most 1
+            raise ValueError(f"TrainConfig.stop_map {self.stop_map} must be <= 1")
+        for f in fields(self):  # NaN passes the comparisons above
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"TrainConfig.{f.name} {value} must be finite")
 
     @staticmethod
     def from_file(path) -> "TrainConfig":
@@ -108,7 +115,7 @@ def sgd_step(named_params, state: dict, cfg: TrainConfig, epoch_progress: float)
         v = state.get(name)
         v = g if v is None else cfg.momentum * v + g
         state[name] = v
-        p.data = p.data - lr * v
+        p.data -= lr * v  # in place: a parameter keeps its array, and so its pages
 
 
 # ---------------------------------------------------------------------------

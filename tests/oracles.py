@@ -260,6 +260,33 @@ def backward_retaining(root, seed=None):
             node._backward(node.grad)
 
 
+def tape_arrays(root):
+    """Every numpy array that the backward closures of the tape under root
+    keep, through nested functions, lists and tuples, but not the data of
+    the tensors they name (a node's inputs and outputs are kept anyway)."""
+    arrays, values, seen_nodes, seen, todo = [], [], set(), set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen_nodes:
+            continue
+        seen_nodes.add(id(node))
+        todo.extend(node._parents)
+        if node._backward is not None:
+            values.append(node._backward)
+    while values:
+        v = values.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            arrays.append(v)
+        elif isinstance(v, (list, tuple)):
+            values.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            values.extend(cell.cell_contents for cell in v.__closure__)
+    return arrays
+
+
 def ss2d_by_direction(x, p):
     """ss2d as four separate 1-D scans of one (n, c, h, w) map: for each
     direction, copy the tokens into scan order, project the copy (dt, B,

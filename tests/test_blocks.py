@@ -207,6 +207,19 @@ class TestCheckpoint:
         for (na, a), (nb, b) in zip(vss.named_parameters(), other.named_parameters()):
             assert na == nb and np.array_equal(a.data, b.data)
 
+    def test_load_into_keeps_each_parameter_array(self, rng, tmp_path):
+        vss = VSS(8, rng=rng)
+        path = tmp_path / "m.fabck"
+        save_checkpoint(path, vss.named_parameters())
+        other = VSS(8, rng=np.random.default_rng(999))
+        for _, t in other.named_parameters():
+            t.data = t.data.astype(np.float32)
+        arrays = [t.data for _, t in other.named_parameters()]
+        load_into(other, path)
+        for (_, a), (_, b), arr in zip(vss.named_parameters(), other.named_parameters(), arrays):
+            assert b.data is arr and b.data.dtype == np.float32
+            assert np.array_equal(b.data, a.data.astype(np.float32))
+
     def test_records_are_ordered_and_named(self, rng, tmp_path):
         conv = Conv(3, 4, 3, rng=rng)
         path = tmp_path / "c.fabck"

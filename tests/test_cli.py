@@ -163,6 +163,22 @@ class TestTrainEvalCmds:
                      "--out", str(tmp_path / "o"), "--epochs", "1", "--classes", "0"]) == 1
         assert "error: num_classes 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--epochs", "0"], "max_epochs must be strictly positive"),
+        (["--epochs", "-3"], "max_epochs must be strictly positive"),
+        (["--epochs", "1", "--stop-map", "7"], "stop_map 7.0 must be <= 1"),
+        (["--epochs", "1", "--stop-map", "nan"], "stop_map nan must be finite"),
+    ])
+    def test_train_rejects_bad_overrides_exit_1(self, synth_dir, tmp_path, capsys, flags,
+                                                 message):
+        # the overrides pass through TrainConfig's checks, and no
+        # checkpoint of an untrained model is written
+        out = tmp_path / "o"
+        assert main(["train", "--scale", "nano-test", "--data", str(synth_dir),
+                     "--out", str(out), *flags]) == 1
+        assert f"error: TrainConfig.{message}" in capsys.readouterr().err
+        assert not list(out.glob("*.fabck"))
+
     def test_train_missing_data_exit_1(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()

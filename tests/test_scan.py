@@ -6,7 +6,7 @@ import pytest
 from fabme import tensor as T
 from fabme.scan import DIRECTIONS, ScanParams, _transpose, direction_perm, selective_scan, ss2d
 from fabme.tensor import Tensor
-from oracles import selective_scan_grads, ss2d_by_direction
+from oracles import selective_scan_grads, ss2d_by_direction, tape_arrays
 
 
 def _tokens(x: Tensor) -> Tensor:
@@ -250,6 +250,17 @@ class TestSS2D:
         p = ScanParams.create(4, rng=rng)
         with pytest.raises(T.ShapeError, match="empty spatial extent"):
             ss2d(Tensor(np.zeros((1, 4, 0, 3))), p)
+
+    def test_taped_ss2d_keeps_no_states(self, rng):
+        # backward recomputes exp(dt*A) and the states, so no (n, L, d, N)
+        # array lives on the tape between the forward and the sweep
+        n, d, N, h, w = 2, 16, 8, 16, 16
+        p = ScanParams.create(d, d_state=N, rng=rng)
+        x = Tensor(rng.standard_normal((n, d, h, w)), requires_grad=True)
+        out = ss2d(x, p)
+        arrays = tape_arrays(out)
+        assert arrays and not [a.shape for a in arrays if a.ndim == 4 and a.shape[-1] == N]
+        assert max(a.size for a in arrays) <= n * h * w * d
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ss2d_full_gradcheck(self, seed):

@@ -10,7 +10,7 @@ from fabme import blocks as B, tensor as T
 from fabme.tensor import ShapeError, Tensor
 
 from oracles import (
-    channel_norm_4d, conv2d_direct, expit_masked, maxpool2d_masked, silu_masked,
+    channel_norm_4d, conv2d_direct, expit_masked, maxpool2d_masked, silu_masked, tape_arrays,
 )
 
 
@@ -400,6 +400,13 @@ class TestMaskedOracles:
             assert np.signbit(out.item()) == np.signbit(arr[0, 0, 0, 0])
             assert np.array_equal(gx.reshape(-1), [1.0, 0.0, 0.0, 0.0])
 
+    def test_taped_maxpool2d_keeps_no_padded_copy(self, rng):
+        # backward pads x.data again, so the node keeps only its output
+        x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
+        out = T.maxpool2d(x, 5, 1, 2)
+        assert [a.shape for a in tape_arrays(out)] == [(2, 3, 6, 5)]
+        assert all(a is out.data for a in tape_arrays(out))
+
     def test_maxpool2d_nan_propagates(self):
         # the masked form's strict > skips a NaN after the first offset; the
         # maximum chain makes the window NaN wherever the NaN is, and routes
@@ -566,8 +573,10 @@ class TestElementwise:
 
     def test_split_concat_inverse(self, rng):
         x = Tensor(rng.standard_normal((2, 8, 3, 3)))
-        rec = T.concat(T.split(x, [4, 4]))
-        assert np.array_equal(rec.data, x.data)
+        parts = T.split(x, [4, 4])
+        assert all(np.shares_memory(p.data, x.data) for p in parts)  # views, not copies
+        rec = T.concat(parts)
+        assert np.array_equal(rec.data.view(np.uint8), x.data.view(np.uint8))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),

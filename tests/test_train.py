@@ -57,6 +57,26 @@ class TestSGD:
         assert w.data[0] == pytest.approx(0.5)
         assert b.data[0] == 1.0 and g.data[0] == 1.0
 
+    def test_step_keeps_each_parameter_array(self, rng):
+        # an in-place update, bit for bit the old rebinding p.data - lr * v
+        cfg = TrainConfig()
+        named = [("c.weight", Tensor(rng.standard_normal((3, 2)), requires_grad=True)),
+                 ("c.bias", Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True))]
+        state = {}
+        for step in range(3):
+            arrays = [p.data for _, p in named]
+            for _, p in named:
+                p.grad = rng.standard_normal(p.data.shape).astype(p.data.dtype)
+            want = []
+            for n, p in named:
+                g = p.grad + cfg.weight_decay * p.data if n == "c.weight" else p.grad
+                v = cfg.momentum * state[n] + g if n in state else g
+                want.append(p.data - lr_at(cfg, 1.0 + step) * v)
+            sgd_step(named, state, cfg, 1.0 + step)
+            for (_, p), arr, w in zip(named, arrays, want):
+                assert p.data is arr
+                assert p.data.dtype == w.dtype and p.data.tobytes() == w.tobytes()
+
     def test_nonfinite_grad_names_param(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([np.nan])
@@ -96,6 +116,35 @@ class TestSchedule:
         for ok in (0.0, 0.5):
             TrainConfig(**{key: ok})
         TrainConfig(eval_iou=1.0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", "nan"), ("lr", "inf"), ("warmup_epochs", "nan"), ("momentum", "nan"),
+        ("momentum", "inf"), ("weight_decay", "nan"), ("weight_decay", "-inf"),
+        ("eval_conf", "inf"), ("stop_map", "nan"), ("stop_map", "inf"), ("stop_map", "7.0"),
+    ])
+    def test_config_file_rejects_hostile_value(self, tmp_path, key, value):
+        # NaN passes every "<= 0" check, and a stop_map above 1 or NaN
+        # would silently disable the target
+        import tracemalloc
+
+        path = tmp_path / "hostile.cfg"
+        path.write_text(f"max_epochs=2\n{key}={value}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"hostile.cfg: TrainConfig.{key} "):
+                TrainConfig.from_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match=f"^TrainConfig.{key} "):
+            TrainConfig(**{key: float(value)})
+
+    def test_stop_map_bounds(self):
+        for ok in (-1.0, 0.0, 0.5, 1.0, None):
+            assert TrainConfig(stop_map=ok).stop_map == ok
+        with pytest.raises(ValueError, match="stop_map 1.5 must be <= 1"):
+            TrainConfig(stop_map=1.5)
 
     def test_config_file(self, tmp_path):
         p = tmp_path / "t.cfg"
@@ -209,10 +258,12 @@ class TestTapeSweep:
 
     def test_tape_peak(self):
         # the sweep frees each node once it has run, the conv closures keep
-        # no patch matrix, and an activated conv's one node keeps only xhat
-        # of its conv, norm and SiLU outputs: 34.2 MB, against 56.4 MB for
-        # three nodes and 128 MB when the whole tape lived until the sweep
-        # ended
+        # no patch matrix, an activated conv's one node keeps only xhat of
+        # its conv, norm and SiLU outputs, the scan keeps no states, split
+        # keeps views and max-pooling no padded copy: 26.4 MB, against 33.3
+        # MB with the scan's states, split copies and padded copies, 56.4 MB
+        # for three nodes per conv and 128 MB when the whole tape lived until
+        # the sweep ended
         import tracemalloc
         inputs = self._inputs()
         tracemalloc.start()
@@ -221,7 +272,7 @@ class TestTapeSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 42.7e6, f"tape peak {peak / 1e6:.1f} MB"
+        assert peak < 30e6, f"tape peak {peak / 1e6:.1f} MB"
 
 
 class TestWholeModelGradient:
