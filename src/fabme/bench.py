@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fabme import scan as S
 from fabme import tensor as T
-from fabme.scan import ScanParams, ss2d
+from fabme.scan import DIRECTIONS, ScanParams, ss2d
 from fabme.tensor import Tensor
 
 __all__ = ["BenchRow", "run_sweep", "write_bench_csv", "growth_ratios", "numeric_environment"]
@@ -40,7 +39,7 @@ class BenchRow:
     mean_ns: float
     p95_ns: float
     median_ns: float
-    state_bytes: int = 0  # ss2d only: see _scan_state_bytes
+    state_bytes: int = 0  # ss2d only: see _ss2d_case
     peak_bytes: int = 0   # ss2d only: see _peak_bytes
 
 
@@ -58,27 +57,6 @@ def _square_map(L: int, d_model: int, rng) -> Tensor:
     return Tensor(rng.standard_normal((1, d_model, side, side)).astype(np.float32))
 
 
-def _scan_state_bytes(x: Tensor, p: ScanParams) -> int:
-    """Bytes of the (n, L, d, N) scan states that one ss2d(x, p) call
-    builds, n*L*d*N*itemsize summed over its four directions, read off the
-    arguments of each selective_scan call."""
-    seen = []
-    inner = S.selective_scan
-
-    def counting(seq, dt, A, *rest):
-        n, L, d = seq.data.shape
-        seen.append(n * L * d * A.data.shape[1] * seq.data.itemsize)
-        return inner(seq, dt, A, *rest)
-
-    S.selective_scan = counting
-    try:
-        with T.no_grad():
-            ss2d(x, p)
-    finally:
-        S.selective_scan = inner
-    return sum(seen)
-
-
 def _peak_bytes(fn) -> int:
     """tracemalloc peak of one call of fn: the most memory that numpy and
     Python held at once during it."""
@@ -92,7 +70,8 @@ def _peak_bytes(fn) -> int:
 
 def _ss2d_case(L: int, d_model: int, d_state: int, seed: int):
     """The timed call of one ss2d sweep point, its scan state bytes and its
-    peak bytes."""
+    peak bytes.  The state bytes are those of the (n, L, d, N) states that
+    one call builds, one array per direction: n*L*d*N*itemsize each."""
     rng = np.random.default_rng(seed)
     x = _square_map(L, d_model, rng)
     p = ScanParams.create(d_model, d_state=d_state, rng=rng)
@@ -103,7 +82,7 @@ def _ss2d_case(L: int, d_model: int, d_state: int, seed: int):
         with T.no_grad():
             ss2d(x, p)
 
-    return fn, _scan_state_bytes(x, p), _peak_bytes(fn)
+    return fn, len(DIRECTIONS) * x.data.size * d_state * x.data.itemsize, _peak_bytes(fn)
 
 
 def naive_attention(x: np.ndarray) -> np.ndarray:

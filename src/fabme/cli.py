@@ -42,11 +42,13 @@ def cmd_synth(args) -> int:
     from fabme.data import write_labels, write_manifest, write_ppm
     from fabme.train import gen_synth_dataset
 
+    if args.n < 1:
+        raise ValueError(f"synth: --n {args.n} must be >= 1")
+    scenes = gen_synth_dataset(args.n, args.classes, seed=args.seed,
+                               width=args.size, height=args.size)
     out = _out_dir(args)
     (out / "images").mkdir(exist_ok=True)
     (out / "labels").mkdir(exist_ok=True)
-    scenes = gen_synth_dataset(args.n, args.classes, seed=args.seed,
-                               width=args.size, height=args.size)
     rows = []
     for i, s in enumerate(scenes):
         name = f"scene{i:05d}"
@@ -66,7 +68,6 @@ def cmd_train(args) -> int:
     from fabme.train import (TrainConfig, TrainDivergedError, load_items,
                              train, write_history_csv)
 
-    out = _out_dir(args)
     cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
     # replace() reruns TrainConfig's checks, so they see the overrides
     overrides = {"max_epochs": args.epochs, "stop_map": args.stop_map}
@@ -87,16 +88,15 @@ def cmd_train(args) -> int:
     num_classes = args.classes if args.classes is not None else max(
         (a.class_id for s in samples for a in s.annotations), default=20)
     size = train_items[0][0].shape[-1]
+    variants = ["baseline", "emca-only", "fabme"] if args.ablation else [args.variant]
+    specs = [variant_spec(variant, args.scale, num_classes=num_classes, input_size=size,
+                          seed=args.seed, dtype=args.dtype) for variant in variants]
 
+    out = _out_dir(args)
     # the bits of the history depend on these, so they are kept beside it
     (out / "environment.json").write_text(json.dumps(numeric_environment(), indent=1) + "\n")
-    variants = [args.variant]
-    if args.ablation:
-        variants = ["baseline", "emca-only", "fabme"]
     ablation_rows = []
-    for variant in variants:
-        spec = variant_spec(variant, args.scale, num_classes=num_classes,
-                            input_size=size, seed=args.seed, dtype=args.dtype)
+    for variant, spec in zip(variants, specs):
         model = build_graph(spec)
         print(f"training {variant} ({args.scale}) on {len(train_items)} train / "
               f"{len(val_items)} val images", file=sys.stderr)
@@ -136,7 +136,6 @@ def cmd_eval(args) -> int:
     from fabme.train import TrainConfig, eval_detections, load_items
 
     cfg = TrainConfig(eval_conf=args.conf)  # a bad --conf fails before any file is read
-    out = _out_dir(args)
     spec_path = Path(args.spec) if args.spec else Path(str(args.model) + ".spec")
     if not spec_path.exists():
         print(f"error: graph spec file {spec_path} not found "
@@ -155,7 +154,7 @@ def cmd_eval(args) -> int:
     items = load_items(samples)
     dets, gts = eval_detections(model, items, cfg)
     report = map50(dets, gts, classes=spec.num_classes)
-    write_eval_csv(out / "eval.csv", report)
+    write_eval_csv(_out_dir(args) / "eval.csv", report)
     print(f"mAP@0.5 = {100.0 * report.map50:.2f}%")
     return 0
 
@@ -163,11 +162,10 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from fabme.bench import growth_ratios, run_sweep, write_bench_csv
 
-    out = _out_dir(args)
     Ls = [int(s) for s in args.sweep.split(",")]
     rows = run_sweep(args.op, Ls, d_model=args.d_model, d_state=args.d_state,
                      repeats=args.repeats)
-    write_bench_csv(out / f"bench_{args.op}.csv", rows)
+    write_bench_csv(_out_dir(args) / f"bench_{args.op}.csv", rows)
     ratios = ", ".join(f"{r:.2f}" for r in growth_ratios(rows))
     print(f"{args.op}: " + "; ".join(f"L={r.L}: {r.median_ns / 1e6:.2f}ms" for r in rows)
           + f"; growth ratios [{ratios}]")

@@ -256,6 +256,8 @@ def write_ppm(path, img: np.ndarray):
     h, w, c = img.shape
     if c != 3:
         raise ValueError(f"write_ppm: expected 3 channels, got {c}")
+    if h < 1 or w < 1:  # read_ppm rejects such a file
+        raise ValueError(f"write_ppm: bad image size {w}x{h}")
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())
         f.write(np.ascontiguousarray(img).tobytes())

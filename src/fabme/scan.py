@@ -12,7 +12,8 @@ negative A (stored as log-magnitudes) and per-channel skip D.  dt, B and C
 depend on one token each, so ss2d projects the map's row-major tokens once,
 and a scan direction is only the order in which the recurrence visits them.
 Runtime and memory are O(L * d_model * d_state); the scan itself is
-sequential in t and is one tape node with a hand-derived backward pass.
+sequential in t and is one tape node for all the orders, with a
+hand-derived backward pass.
 """
 from __future__ import annotations
 
@@ -94,60 +95,69 @@ class ScanParams:
 
 
 def selective_scan(x: Tensor, dt: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
-                   order: np.ndarray) -> Tensor:
-    """Core recurrence as a single tape node, visiting the L positions in
-    `order` (a permutation of range(L)).  The state after position p is kept
-    at p, so y is in the positions' own order.  Each time loop is one
-    in-place multiply-add; every other term is one whole-array op.  The
-    node keeps no (n, L, d, N) array: backward recomputes exp(dt*A) and the
+                   orders: np.ndarray) -> Tensor:
+    """Core recurrence as a single tape node: visit the L positions in each
+    row of `orders` (k permutations of range(L); a 1-D order is one row)
+    and sum the k outputs.  The state after position p is kept at p, so y
+    is in the positions' own order.  dt*x and exp(dt*A) are computed once
+    for all orders; each order's time loop is one in-place multiply-add,
+    and every other term is one whole-array op.  The node keeps no
+    (n, L, d, N) array: backward recomputes exp(dt*A) and each order's
     states with the forward's own ops, so bit for bit.
 
     x, dt: (n, L, d); A: (d, N) negative; B, C: (n, L, N); D: (d,).
     """
     L = x.data.shape[1]
-    steps = order.tolist()
-    if sorted(steps) != list(range(L)):
-        raise ValueError(f"selective_scan: order is not a permutation of range({L})")
+    orders = np.atleast_2d(orders)
+    if not len(orders) or any(sorted(o) != list(range(L)) for o in orders.tolist()):
+        raise ValueError(f"selective_scan: an order is not a permutation of range({L})")
     if np.any(dt.data <= 0):
         raise ValueError("selective_scan: non-positive step size dt; softplus constraint violated")
 
-    def states():
-        dtx = dt.data * x.data
-        dA = np.exp(dt.data[:, :, :, None] * A.data[None, None])  # (n, L, d, N)
-        hs = dtx[:, :, :, None] * B.data[:, :, None, :]           # dt*B*x, then the states
+    def shared():
+        return dt.data * x.data, np.exp(dt.data[:, :, :, None] * A.data[None, None])  # dA: (n, L, d, N)
+
+    def states(steps, dtx, dA):
+        hs = dtx[:, :, :, None] * B.data[:, :, None, :]  # dt*B*x, then the states
         for prev, t in zip(steps, steps[1:]):
             hs[:, t] += dA[:, t] * hs[:, prev]
-        return dtx, dA, hs
+        return hs
 
-    _, _, hs = states()
-    y = np.einsum("nldk,nlk->nld", hs, C.data) + D.data * x.data
+    dtx, dA = shared()
+    y = None
+    for order in orders:  # ((y0 + y1) + y2) + ...
+        yk = np.einsum("nldk,nlk->nld", states(order.tolist(), dtx, dA), C.data) + D.data * x.data
+        y = yk if y is None else np.add(y, yk, out=y)
 
     def backward(gy):
-        dtx, dA, hs = states()
-        gh = gy[:, :, :, None] * C.data[:, :, None, :]  # gy.C, then the states' gradient
-        back = steps[::-1]
-        for nxt, t in zip(back, back[1:]):
-            gh[:, t] += dA[:, nxt] * gh[:, nxt]
-        gB = np.einsum("nldk,nld->nlk", gh, dtx)
-        gbx = (gh * B.data[:, :, None, :]).sum(axis=3)   # through dt*B*x
-        before = np.roll(order, 1)[np.argsort(order)]    # the position visited before each
-        gexp = np.multiply(gh, hs[:, before], out=gh)     # through exp(dt*A), in gh's place
-        gexp *= dA
-        gexp[:, steps[0]] = 0.0                           # the first step starts from zero
-        _acc(x, gy * D.data + gbx * dt.data)
-        _acc(dt, np.einsum("nldk,dk->nld", gexp, A.data) + gbx * x.data)
-        # A's per-position terms, summed in the sweep's order for a bitwise result
-        _acc(A, sum(np.einsum("nldk,nld->ldk", gexp, dt.data)[back]))
-        _acc(B, gB)
-        _acc(C, np.einsum("nld,nldk->nlk", gy, hs))
-        _acc(D, np.einsum("nld,nld->d", gy, x.data))
+        dtx, dA = shared()
+        for order in orders:  # each order's gradients accumulate in turn
+            steps = order.tolist()
+            hs = states(steps, dtx, dA)
+            gh = gy[:, :, :, None] * C.data[:, :, None, :]  # gy.C, then the states' gradient
+            back = steps[::-1]
+            for nxt, t in zip(back, back[1:]):
+                gh[:, t] += dA[:, nxt] * gh[:, nxt]
+            gB = np.einsum("nldk,nld->nlk", gh, dtx)
+            gbx = (gh * B.data[:, :, None, :]).sum(axis=3)   # through dt*B*x
+            before = np.roll(order, 1)[np.argsort(order)]    # the position visited before each
+            gexp = np.multiply(gh, hs[:, before], out=gh)     # through exp(dt*A), in gh's place
+            gexp *= dA
+            gexp[:, steps[0]] = 0.0                           # the first step starts from zero
+            _acc(x, gy * D.data + gbx * dt.data)
+            _acc(dt, np.einsum("nldk,dk->nld", gexp, A.data) + gbx * x.data)
+            # A's per-position terms, summed in the sweep's order for a bitwise result
+            _acc(A, sum(np.einsum("nldk,nld->ldk", gexp, dt.data)[back]))
+            _acc(B, gB)
+            _acc(C, np.einsum("nld,nldk->nlk", gy, hs))
+            _acc(D, np.einsum("nld,nld->d", gy, x.data))
 
     return _node(y, (x, dt, A, B, C, D), backward, "selective_scan")
 
 
 def ss2d(x: Tensor, p: ScanParams) -> Tensor:
-    """Project the map's row-major tokens once (dt, B, C), run the selective
-    scan over them in each of the four DIRECTIONS' orders, and sum.
+    """Project the map's row-major tokens once (dt, B, C) and run one
+    selective scan over them in the four DIRECTIONS' orders, which sums them.
 
     Output shape equals input shape (n, d_model, h, w).
     """
@@ -168,8 +178,5 @@ def ss2d(x: Tensor, p: ScanParams) -> Tensor:
     A = neg(exp(p.a_log))
     B = linear(seq, p.w_b)
     C = linear(seq, p.w_c)
-    out = None
-    for d in DIRECTIONS:
-        y = selective_scan(seq, dt, A, B, C, p.d_skip, direction_perm(h, w, d))
-        out = y if out is None else add(out, y)
-    return _transpose(out, (n, c, h, w))
+    orders = np.stack([direction_perm(h, w, d) for d in DIRECTIONS])
+    return _transpose(selective_scan(seq, dt, A, B, C, p.d_skip, orders), (n, c, h, w))

@@ -427,6 +427,9 @@ def gen_synth_dataset(n_images: int, n_classes: int = 4, seed: int = 0,
                       min_defects: int = 1, max_defects: int = 2) -> list[SynthScene]:
     """Deterministic synthetic scenes; non-overlapping defects, one
     annotation each."""
+    if n_images < 0 or min(width, height) < 1:
+        raise ValueError(f"gen_synth_dataset: n_images {n_images} must be >= 0, "
+                         f"width {width} and height {height} >= 1")
     rng = np.random.default_rng(seed)
     palette = defect_palette(n_classes)
     scenes = []

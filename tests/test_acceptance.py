@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail
 line.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
+import hashlib
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from fabme import tensor as T
 from fabme import train as TR
 from fabme import data as D
-from fabme.bench import growth_ratios, run_sweep
+from fabme.bench import growth_ratios, numeric_environment, run_sweep
 from fabme.blocks import C2FVMamba, EMCA, VSS
 from fabme.graph import build_graph, count_params, variant_spec
 from fabme.metrics import Detection, GroundTruth, map50, match_and_ap
@@ -210,27 +211,39 @@ def test_criterion_6_pipeline_correctness(tmp_path):
             f"roundtrip={rt_ok}, split stable={split_ok}")
 
 
+def _closed_loop_split():
+    """Criterion 7's train and val items: 200 synthetic scenes, split by seed 0."""
+    items = TR.items_from_scenes(TR.gen_synth_dataset(200, 4, seed=0))
+    train_ids, val_ids = D.split_dataset(list(range(len(items))), seed=0)
+    return [items[i] for i in train_ids], [items[i] for i in val_ids]
+
+
+def _short_run(train_items, val_items):
+    """Criterion 7's determinism run: a fresh model, 2 epochs on 48 train
+    and 16 val scenes.  Returns the history and the final parameters."""
+    m = build_graph(variant_spec("fabme", "nano-test", num_classes=4, seed=0))
+    res = TR.train(m, train_items[:48], val_items[:16], TR.TrainConfig(max_epochs=2, seed=0))
+    return res.history, [t.data for _, t in m.named_parameters()]
+
+
+# Where numpy, the OpenBLAS kernel family and numpy's float64 exp loop are
+# these, the short run's bits are known (see test_short_run_bits_tripwire).
+TRIPWIRE_ENV = {"numpy": "2.4.6", "openblas_core": "SkylakeX", "exp_float64": "X86_V4"}
+TRIPWIRE_SHA256 = "0d7354913649fe6cb3df0efe742c2083ad4673ba3b475285353d94754e81cd33"
+
+
 def test_criterion_7_closed_loop_training(tmp_path):
     t0 = time.time()
     spec = variant_spec("fabme", "nano-test", num_classes=4, input_size=64, seed=0)
     model = build_graph(spec)
-    scenes = TR.gen_synth_dataset(200, 4, seed=0)
-    items = TR.items_from_scenes(scenes)
-    train_ids, val_ids = D.split_dataset(list(range(len(items))), seed=0)
-    train_items = [items[i] for i in train_ids]
-    val_items = [items[i] for i in val_ids]
+    train_items, val_items = _closed_loop_split()
     cfg = TR.TrainConfig(max_epochs=150, seed=0, stop_map=0.5)
     res = TR.train(model, train_items, val_items, cfg)
     elapsed = time.time() - t0
     reached = res.best_map >= 0.5 and res.stopped_epoch < 150 and elapsed < 600
 
     # determinism: two fresh short runs produce identical histories
-    hists = []
-    for _ in range(2):
-        m2 = build_graph(variant_spec("fabme", "nano-test", num_classes=4, seed=0))
-        r2 = TR.train(m2, train_items[:48], val_items[:16],
-                      TR.TrainConfig(max_epochs=2, seed=0))
-        hists.append(r2.history)
+    hists = [_short_run(train_items, val_items)[0] for _ in range(2)]
     deterministic = hists[0] == hists[1]
 
     # ablation baseline -> +EMCA -> +C2F-VMamba(C2F3) emits the table
@@ -246,7 +259,26 @@ def test_criterion_7_closed_loop_training(tmp_path):
     ablation_ok = code == 0 and len(rows) == 4 and rows[0].startswith("variant,")
 
     ok = reached and deterministic and ablation_ok
+    env = numeric_environment()
     _report(7, "closed-loop training", ok,
             f"val mAP@0.5={res.best_map:.3f} at epoch {res.best_epoch} "
             f"(stopped {res.stopped_epoch}, {elapsed:.0f}s), deterministic={deterministic}, "
-            f"ablation rows={len(rows) - 1}")
+            f"ablation rows={len(rows) - 1}, openblas {env['openblas_core']}, "
+            f"exp {env['exp_float64']}")
+
+
+def test_short_run_bits_tripwire():
+    """One SHA-256 of the short run's history and final parameters, against
+    the value committed for one numeric environment.  A change that moves
+    the numbers on purpose updates TRIPWIRE_SHA256 and says so; on any
+    other environment the bits differ by design, so the test skips and
+    names the field that differs."""
+    env = numeric_environment()
+    for key, want in TRIPWIRE_ENV.items():
+        if env[key] != want:
+            pytest.skip(f"numeric environment {key} is {env[key]!r}, not {want!r}")
+    history, params = _short_run(*_closed_loop_split())
+    digest = hashlib.sha256(np.array(history, dtype=np.float64).tobytes())
+    for a in params:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == TRIPWIRE_SHA256

@@ -33,6 +33,16 @@ class TestSynth:
         for pa, pb in zip(sorted((a / "images").iterdir()), sorted((b / "images").iterdir())):
             assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "-3"], "--n -3 must be >= 1"), (["--n", "0"], "--n 0 must be >= 1"),
+        (["--size", "0"], "width 0 and height 0 >= 1"),
+    ])
+    def test_bad_count_or_size_exit_1_and_no_dir(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTile:
     def test_tile_roundtrip(self, tmp_path, rng):
@@ -239,6 +249,19 @@ class TestTrainEvalCmds:
             rows = list(csv.reader(f))
         assert rows[0] == ["variant", "val_map50", "best_epoch", "epochs_run"]
         assert [r[0] for r in rows[1:]] == ["baseline", "emca-only", "fabme"]
+
+
+class TestFailedRunLeavesNoOut:
+    @pytest.mark.parametrize("command", ["train", "eval", "bench"])
+    def test_exit_1_creates_no_out_dir(self, command, tmp_path, capsys):
+        # the inputs are checked before --out is created
+        flags = {"train": ["--data", str(tmp_path), "--epochs", "0"],
+                 "eval": ["--data", str(tmp_path), "--model", str(tmp_path / "nope.fabck")],
+                 "bench": ["--sweep", "16", "--repeats", "0"]}[command]
+        out = tmp_path / "o"
+        assert main([command, *flags, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFlagValidation:

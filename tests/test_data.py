@@ -224,6 +224,14 @@ class TestImageIO:
         D.write_ppm(path, img)
         assert np.array_equal(D.read_ppm(path), img)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (0, 0), (0, 4)])
+    def test_ppm_of_an_empty_image_refused(self, shape, tmp_path):
+        # read_ppm rejects a 0-pixel size, so write_ppm writes none
+        path = tmp_path / "e.ppm"
+        with pytest.raises(ValueError, match="write_ppm: bad image size"):
+            D.write_ppm(path, np.zeros(shape, dtype=np.uint8))
+        assert not path.exists()
+
     def test_ppm_gray_replicated(self, rng, tmp_path):
         img = (rng.random((8, 8)) * 255).astype(np.uint8)
         path = tmp_path / "g.ppm"

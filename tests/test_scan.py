@@ -116,6 +116,40 @@ class TestSelectiveScan:
         with pytest.raises(ValueError, match="not a permutation"):
             selective_scan(*_scan_inputs(rng, 1, 3, 2, 2), np.array(order))
 
+    @pytest.mark.parametrize("bad_row", [0, 1, 3])
+    def test_orders_with_one_bad_row_rejected(self, bad_row, rng):
+        inputs = _scan_inputs(rng, 1, 6, 2, 2)
+        orders = np.stack([direction_perm(2, 3, d) for d in DIRECTIONS])
+        assert selective_scan(*inputs, orders).data.shape == (1, 6, 2)
+        orders[bad_row, 0] = orders[bad_row, 1]
+        with pytest.raises(ValueError, match="not a permutation"):
+            selective_scan(*inputs, orders)
+        with pytest.raises(ValueError, match="not a permutation"):
+            selective_scan(*inputs, orders[:0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 3), (3, 2), (4, 4)])
+    def test_one_node_equals_single_order_nodes_summed(self, hw, n, dtype):
+        # bitwise: one node over the four orders is the four one-order
+        # nodes summed with add, in its output and in all six gradients
+        rng = np.random.default_rng(hw[0] * 8 + hw[1] + 100 * n)
+        L = hw[0] * hw[1]
+        arrays = [t.data.astype(dtype) for t in _scan_inputs(rng, n, L, 5, 4)]
+        gy = rng.standard_normal((n, L, 5)).astype(dtype)
+        orders = [direction_perm(*hw, d) for d in DIRECTIONS]
+        one = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        y = selective_scan(*one, np.stack(orders))
+        y.backward(gy)
+        four = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        want = selective_scan(*four, orders[0])
+        for order in orders[1:]:
+            want = T.add(want, selective_scan(*four, order))
+        want.backward(gy)
+        assert y.data.dtype == dtype and np.array_equal(y.data, want.data)
+        for name, a, b in zip("x dt A B C D".split(), one, four):
+            assert np.array_equal(a.grad, b.grad), name
+
     @pytest.mark.parametrize("dtype, pre, ok", [
         (np.float32, -110.0, False), (np.float64, -800.0, False),
         (np.float32, -100.0, True), (np.float64, -700.0, True),  # dt still subnormal, > 0
@@ -250,6 +284,19 @@ class TestSS2D:
         p = ScanParams.create(4, rng=rng)
         with pytest.raises(T.ShapeError, match="empty spatial extent"):
             ss2d(Tensor(np.zeros((1, 4, 0, 3))), p)
+
+    def test_taped_ss2d_builds_one_scan_node(self, rng):
+        p = ScanParams.create(4, d_state=2, rng=rng)
+        out = ss2d(Tensor(rng.standard_normal((2, 4, 3, 2)), requires_grad=True), p)
+        nodes, todo, seen = [], [out], set()
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                todo.extend(node._parents)
+        names = [t._backward.__qualname__ for t in nodes if t._backward is not None]
+        assert sum(n.startswith("selective_scan.") for n in names) == 1
 
     def test_taped_ss2d_keeps_no_states(self, rng):
         # backward recomputes exp(dt*A) and the states, so no (n, L, d, N)

@@ -164,6 +164,12 @@ class TestSynth:
     def test_empty_dataset(self):
         assert TR.gen_synth_dataset(0, 4, seed=0) == []
 
+    @pytest.mark.parametrize("n, width, height", [(-1, 64, 64), (2, 0, 64), (2, 64, 0),
+                                                  (0, -5, 64)])
+    def test_bad_count_or_size_rejected(self, n, width, height):
+        with pytest.raises(ValueError, match="gen_synth_dataset: n_images"):
+            TR.gen_synth_dataset(n, 4, seed=0, width=width, height=height)
+
     def test_seed_determinism_byte_identical(self):
         a = TR.gen_synth_dataset(4, 4, seed=11)
         b = TR.gen_synth_dataset(4, 4, seed=11)
